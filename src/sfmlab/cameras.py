@@ -130,7 +130,7 @@ class Camera:
             raise ValueError(
                 f"{self.cls.name} expects {self.cls.f} parameters, got shape {params.shape}"
             )
-        if not np.all(np.isfinite(params)):
+        if not np.isfinite(params).all():
             raise ValueError("camera parameters must be finite")
         params.flags.writeable = False
         object.__setattr__(self, "params", params)

@@ -3,7 +3,6 @@
 Commands: ``catalog``, ``region``, ``rank``, ``reconstruct``, ``simulate``.
 Exit codes: 0 on success (and met predictions), 1 for findings such as a rank
 deficit or a non-converged solve, 2 for usage, validation, or I/O errors.
-The environment variable SFMLAB_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -16,17 +15,9 @@ from . import io
 from .cameras import catalog, catalog_lookup
 from .counting import forbidden_region
 from .errors import FormatError, SfmlabError
-from .reconstruct import solve, solve_jet
-from .sfm import (
-    JetScene,
-    evaluate,
-    evaluate_jet,
-    generic_rank,
-    predicted_rank,
-    random_jet_scene,
-    random_scene,
-)
-from .symmetry import align, align_jet
+from .reconstruct import solve
+from .sfm import evaluate, generic_rank, predicted_rank, random_jet_scene, random_scene
+from .symmetry import align
 
 JET_PRESET = "circle-jet"
 JET_PRESET_CLASS = "omni-2d"
@@ -94,20 +85,13 @@ def _load_scene(path):
 def _cmd_reconstruct(args) -> int:
     meas = io.doc_to_measurements(io.read_json(args.measurements))
     init = _load_scene(args.init)
-    if isinstance(init, JetScene):
-        report = solve_jet(meas, init)
-    else:
-        report = solve(init.cls, meas, init)
+    report = solve(init.cls, meas, init)
     io.write_json(args.out, io.scene_to_doc(report.scene))
     print(f"rmse: {io.format_float(report.rmse)}")
     print(f"iterations: {report.iterations}")
     print(f"converged: {'true' if report.converged else 'false'}")
     if args.truth:
-        truth = _load_scene(args.truth)
-        if isinstance(report.scene, JetScene):
-            _, rmse = align_jet(report.scene, truth)
-        else:
-            _, rmse = align(report.scene, truth)
+        _, rmse = align(report.scene, _load_scene(args.truth))
         print(f"align_rmse: {io.format_float(rmse)}")
     return 0 if report.converged else 1
 
@@ -117,15 +101,11 @@ def _cmd_simulate(args) -> int:
         print("error: need n >= 1 and m >= 1", file=sys.stderr)
         return 2
     if args.cls == JET_PRESET:
-        js = random_jet_scene(catalog_lookup(JET_PRESET_CLASS), args.n, args.m, seed=args.seed)
-        meas = evaluate_jet(js)
-        scene_doc = io.scene_to_doc(js)
+        scene = random_jet_scene(catalog_lookup(JET_PRESET_CLASS), args.n, args.m, seed=args.seed)
     else:
         scene = random_scene(catalog_lookup(args.cls), args.n, args.m, seed=args.seed)
-        meas = evaluate(scene)
-        scene_doc = io.scene_to_doc(scene)
-    io.write_json(args.out_scene, scene_doc)
-    io.write_json(args.out_measurements, io.measurements_to_doc(meas))
+    io.write_json(args.out_scene, io.scene_to_doc(scene))
+    io.write_json(args.out_measurements, io.measurements_to_doc(evaluate(scene)))
     return 0
 
 

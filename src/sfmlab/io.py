@@ -86,6 +86,8 @@ def scene_to_doc(scene: Scene | JetScene) -> dict:
 
 
 def _require(doc: dict, key: str, context: str):
+    if not isinstance(doc, dict):
+        raise FormatError(f"{context} must be a JSON object")
     if key not in doc:
         raise FormatError(f"{context}: missing field {key!r}")
     return doc[key]
@@ -97,9 +99,11 @@ def doc_to_scene(doc: dict) -> Scene | JetScene:
     if doc.get("version") != SCENE_VERSION:
         raise FormatError(f"scene document must declare version {SCENE_VERSION!r}")
     cls = catalog_lookup(str(_require(doc, "class", "scene")))
+    cam_docs = _require(doc, "cameras", "scene")
+    if not isinstance(cam_docs, list):
+        raise FormatError("scene: 'cameras' must be a list")
     cams = tuple(
-        Camera(cls, np.asarray(_require(c, "params", "camera"), dtype=float))
-        for c in _require(doc, "cameras", "scene")
+        Camera(cls, np.asarray(_require(c, "params", "camera"), dtype=float)) for c in cam_docs
     )
     glob = np.asarray(doc.get("globals", []), dtype=float)
     try:
@@ -129,7 +133,7 @@ def doc_to_measurements(doc: dict) -> Measurements:
         raise FormatError("measurements document must be a JSON object")
     cls = catalog_lookup(str(_require(doc, "class", "measurements")))
     data = np.asarray(_require(doc, "data", "measurements"), dtype=float)
-    n, m, s = int(_require(doc, "n", "measurements")), int(doc["m"]), int(doc["s"])
+    n, m, s = (int(_require(doc, key, "measurements")) for key in ("n", "m", "s"))
     if s != cls.s or data.shape != (n, m, s):
         raise FormatError(
             f"measurements data shape {data.shape} does not match header (n={n}, m={m}, s={s})"

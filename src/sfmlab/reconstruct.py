@@ -16,8 +16,10 @@ import numpy as np
 
 from . import geometry
 from .cameras import CameraClass
-from .counting import feasible, jet_feasible
+from .counting import jet_feasible
 from .errors import DegenerateConfigurationError, InfeasibleCountError
+# evaluate_jet and jet_generators stay bound here although unused:
+# perfbench/tracing.py wraps this module's binding of each name.
 from .sfm import (
     DEFAULT_FD_STEP,
     JetScene,
@@ -25,12 +27,13 @@ from .sfm import (
     RankReport,
     Scene,
     evaluate,
-    evaluate_jet,
+    evaluate_jet,  # noqa: F401
+    fd_jacobian,
     jacobian,
     numerical_rank,
     output_wrap_mask,
 )
-from .symmetry import generators, jet_generators
+from .symmetry import generators, jet_generators  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -101,28 +104,31 @@ def _greedy_pins(G: np.ndarray, forced: list[int], pools: list[list[int]], g: in
     return chosen
 
 
-def gauge_fix(cls: CameraClass, template: Scene, anchor_point: int = 0,
+def gauge_fix(cls: CameraClass, template: Scene | JetScene, anchor_point: int = 0,
               anchor_camera: int = 0) -> GaugeChart:
     """Pin ``g`` coordinates at their template values.
 
-    In order: the anchor point's ``d`` coordinates, the anchor camera's
-    orientation block for groups containing rotations, then scale-setting
-    coordinates (preferring the next point) until the pins span the orbit
-    directions.
+    In order: the anchor point's first ``d`` coordinates (its position or
+    motion anchor), the anchor camera's orientation block for groups
+    containing rotations, then rotation- and scale-setting coordinates until
+    the pins span the orbit directions, preferring the anchor point's
+    remaining motion coefficients, then the next point's first ``d``.
     """
     if template.cls.name != cls.name:
         raise ValueError("template class does not match")
     if not 0 <= anchor_point < template.n or not 0 <= anchor_camera < template.m:
         raise ValueError("anchor out of range")
     G = generators(cls, template)
-    d, f = cls.d, cls.f
-    forced = list(range(d * anchor_point, d * anchor_point + d))
+    pd, d = template.point_dim, cls.d
+    base = pd * anchor_point
+    forced = list(range(base, base + d))
     if cls.group in ("euclidean", "similarity"):
         rs = cls.rotation_slice
-        base = d * template.n + anchor_camera * f
-        forced += list(range(base + rs.start, base + rs.stop))
-    next_point = (anchor_point + 1) % template.n
-    pools = [list(range(d * next_point, d * next_point + d)),
+        cam_base = pd * template.n + anchor_camera * cls.f
+        forced += list(range(cam_base + rs.start, cam_base + rs.stop))
+    next_base = pd * ((anchor_point + 1) % template.n)
+    pools = [list(range(base + d, base + pd)),
+             list(range(next_base, next_base + d)),
              list(range(template.dim))]
     idx = _greedy_pins(G, forced, pools, cls.g)
     vec = template.to_vector()
@@ -130,20 +136,8 @@ def gauge_fix(cls: CameraClass, template: Scene, anchor_point: int = 0,
 
 
 def gauge_fix_jet(js: JetScene, anchor_point: int = 0, anchor_camera: int = 0) -> GaugeChart:
-    """Gauge pins for a moving-point scene: the anchor point's constant
-    coefficients, then rotation/scale pins via its remaining coefficients."""
-    G = jet_generators(js)
-    pd, f = js.point_dim, js.cls.f
-    base = pd * anchor_point
-    forced = list(range(base, base + js.cls.d))
-    if js.cls.group in ("euclidean", "similarity"):
-        rs = js.cls.rotation_slice
-        cam_base = pd * js.n + anchor_camera * f
-        forced += list(range(cam_base + rs.start, cam_base + rs.stop))
-    pools = [list(range(base + js.cls.d, base + pd)), list(range(js.dim))]
-    idx = _greedy_pins(G, forced, pools, js.cls.g)
-    vec = js.to_vector()
-    return GaugeChart(tuple(idx), vec[idx], js.dim)
+    """``gauge_fix`` with the class taken from the scene."""
+    return gauge_fix(js.cls, js, anchor_point, anchor_camera)
 
 
 @dataclass
@@ -169,20 +163,9 @@ class SolveReport:
     cost_history: tuple[float, ...]  # accepted costs, never increasing
 
 
-def _lm(residual, x0: np.ndarray, opts: SolveOptions):
+def _lm(residual, x0: np.ndarray, wrap: np.ndarray, opts: SolveOptions):
     """Damped Gauss-Newton with identity damping: halve on acceptance,
     quadruple on rejection. Accepted steps never increase the cost."""
-
-    def fd_jacobian(x, r0):
-        J = np.empty((r0.size, x.size))
-        for k in range(x.size):
-            xp = x.copy()
-            xp[k] += opts.fd_step
-            xm = x.copy()
-            xm[k] -= opts.fd_step
-            J[:, k] = (residual(xp) - residual(xm)) / (2.0 * opts.fd_step)
-        return J
-
     x = x0.copy()
     r = residual(x)
     cost = float(r @ r)
@@ -192,7 +175,7 @@ def _lm(residual, x0: np.ndarray, opts: SolveOptions):
     grad_norm = float("inf")
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        J = fd_jacobian(x, r)
+        J = fd_jacobian(residual, x, r.size, wrap, opts.fd_step)
         grad = J.T @ r
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < opts.gradient_tol:
@@ -226,32 +209,10 @@ def _lm(residual, x0: np.ndarray, opts: SolveOptions):
     return x, iterations, converged, grad_norm, tuple(history)
 
 
-def _run_solve(template, meas: Measurements, gauge: GaugeChart, opts: SolveOptions,
-               eval_fn) -> SolveReport:
-    target = meas.data.ravel()
-    wrap = output_wrap_mask(template.cls, template.n, template.m)
-    mask = gauge.mask
-    free = ~mask
-    base = gauge.clamp(template.to_vector())
-
-    def residual(x_free):
-        vec = base.copy()
-        vec[free] = x_free
-        r = eval_fn(template.with_vector(vec)).flat() - target
-        r[wrap] = geometry.wrap_angle(r[wrap])
-        return r
-
-    x, iterations, converged, grad_norm, history = _lm(residual, base[free], opts)
-    vec = base.copy()
-    vec[free] = x
-    scene = template.with_vector(vec)
-    rmse = float(np.sqrt(history[-1] / target.size))
-    return SolveReport(scene, rmse, iterations, converged, grad_norm, gauge, history)
-
-
-def solve(cls: CameraClass, measurements: Measurements, init: Scene,
+def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
           options: SolveOptions | None = None, gauge: GaugeChart | None = None) -> SolveReport:
-    """Invert the measurement map from a nearby initial scene.
+    """Invert the measurement map from a nearby initial scene; moving points
+    are fitted at the init scene's known shot times.
 
     Raises InfeasibleCountError when the dimension inequality already rules
     out a locally unique inverse for these counts.
@@ -260,7 +221,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene,
         raise ValueError("init scene class does not match")
     if measurements.data.shape != (init.n, init.m, cls.s):
         raise ValueError("measurement grid does not match the init scene")
-    rep = feasible(cls, init.n, init.m)
+    rep = jet_feasible(init.point_dim, cls.f, cls.g, cls.h, cls.s, init.n, init.m)
     if not rep.feasible:
         raise InfeasibleCountError(
             f"{cls.name} with n={init.n}, m={init.m}: unknowns {rep.lhs} exceed "
@@ -268,33 +229,35 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene,
         )
     opts = options or SolveOptions()
     gauge = gauge or gauge_fix(cls, init)
-    return _run_solve(init, measurements, gauge, opts, evaluate)
+    target = measurements.data.ravel()
+    wrap = output_wrap_mask(cls, init.n, init.m)
+    free = ~gauge.mask
+    base = gauge.clamp(init.to_vector())
+
+    def residual(x_free):
+        vec = base.copy()
+        vec[free] = x_free
+        r = evaluate(init.with_vector(vec)).flat() - target
+        r[wrap] = geometry.wrap_angle(r[wrap])
+        return r
+
+    x, iterations, converged, grad_norm, history = _lm(residual, base[free], wrap, opts)
+    vec = base.copy()
+    vec[free] = x
+    rmse = float(np.sqrt(history[-1] / target.size))
+    return SolveReport(init.with_vector(vec), rmse, iterations, converged, grad_norm, gauge,
+                       history)
 
 
 def solve_jet(measurements: Measurements, init: JetScene,
-              options: SolveOptions | None = None, gauge: GaugeChart | None = None,
-              times: np.ndarray | None = None) -> SolveReport:
-    """Invert the moving-point measurement map at known shot times."""
-    if times is not None:
-        init = JetScene(init.cls, init.model, init.motion, times, init.cams,
-                        init.globals_vec, init.omega)
-    if measurements.data.shape != (init.n, init.m, init.cls.s):
-        raise ValueError("measurement grid does not match the init scene")
-    rep = jet_feasible(init.point_dim, init.cls.f, init.cls.g, init.cls.h,
-                       init.cls.s, init.n, init.m)
-    if not rep.feasible:
-        raise InfeasibleCountError(
-            f"moving points with n={init.n}, m={init.m}: unknowns {rep.lhs} exceed "
-            f"measurements plus symmetry {rep.rhs}"
-        )
-    opts = options or SolveOptions()
-    gauge = gauge or gauge_fix_jet(init)
-    return _run_solve(init, measurements, gauge, opts, evaluate_jet)
+              options: SolveOptions | None = None, gauge: GaugeChart | None = None) -> SolveReport:
+    """``solve`` with the class taken from the scene."""
+    return solve(init.cls, measurements, init, options, gauge)
 
 
 def reprojection_rmse(scene: Scene | JetScene, measurements: Measurements) -> float:
     """Root-mean-square of the wrapped residuals over all measured values."""
-    pred = evaluate_jet(scene) if isinstance(scene, JetScene) else evaluate(scene)
+    pred = evaluate(scene)
     if pred.data.shape != measurements.data.shape:
         raise ValueError(
             f"shape mismatch: scene yields {pred.data.shape}, measurements {measurements.data.shape}"
@@ -327,7 +290,7 @@ def local_uniqueness(scene: Scene | JetScene, gauge: GaugeChart,
     return LocalUniquenessReport(report.rank == expected, report.rank, expected, report)
 
 
-def perturb_scene(scene: Scene, rel: float, seed) -> Scene:
+def perturb_scene(scene: Scene | JetScene, rel: float, seed) -> Scene | JetScene:
     """Multiply every coordinate by (1 + rel * uniform(-1, 1)); test helper
     for round-trip starts."""
     rng = np.random.default_rng(seed)
@@ -335,7 +298,4 @@ def perturb_scene(scene: Scene, rel: float, seed) -> Scene:
     return scene.with_vector(vec * (1.0 + rel * rng.uniform(-1.0, 1.0, size=vec.size)))
 
 
-def perturb_jet_scene(js: JetScene, rel: float, seed) -> JetScene:
-    rng = np.random.default_rng(seed)
-    vec = js.to_vector()
-    return js.with_vector(vec * (1.0 + rel * rng.uniform(-1.0, 1.0, size=vec.size)))
+perturb_jet_scene = perturb_scene

@@ -4,14 +4,15 @@ A scene is ``n`` points and ``m`` cameras of one class plus any shared
 scene-level parameters. ``evaluate`` produces the full n-by-m grid of retinal
 chart coordinates; stacking the grid row-major gives the measurement map whose
 Jacobian is analyzed here. Moving-point scenes (``JetScene``) replace each
-static point by a small motion model sampled at the per-camera shot times.
+static point by a small motion model sampled at the per-camera shot times; a
+static point is the order-0 case, so both kinds share one code path.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,35 +30,47 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Scene:
-    """Static configuration: points, cameras, shared parameters."""
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
 
-    cls: CameraClass
-    points: np.ndarray  # (n, d)
-    cams: tuple[Camera, ...]
-    globals_vec: np.ndarray  # (h,)
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.cls.d or pts.shape[0] < 1:
-            raise ValueError(f"points must have shape (n, {self.cls.d}) with n >= 1")
-        cams_t = tuple(self.cams)
-        if len(cams_t) < 1:
-            raise ValueError("at least one camera required")
-        for c in cams_t:
-            if c.cls.name != self.cls.name:
-                raise ValueError(f"camera class {c.cls.name} does not match scene class {self.cls.name}")
-        glob = np.asarray(self.globals_vec, dtype=float).reshape(-1)
-        if glob.size != self.cls.h:
-            raise ValueError(f"{self.cls.name} expects {self.cls.h} scene-level parameter(s)")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "cams", cams_t)
-        object.__setattr__(self, "globals_vec", _freeze(glob))
+def _cameras_and_globals(cls: CameraClass, cams, globals_vec) -> tuple:
+    cams_t = tuple(cams)
+    if len(cams_t) < 1:
+        raise ValueError("at least one camera required")
+    for c in cams_t:
+        if c.cls.name != cls.name:
+            raise ValueError(f"camera class {c.cls.name} does not match scene class {cls.name}")
+    glob = np.asarray(globals_vec, dtype=float).reshape(-1)
+    if glob.size != cls.h:
+        raise ValueError(f"{cls.name} expects {cls.h} scene-level parameter(s)")
+    _check_finite("scene-level parameters", glob)
+    return cams_t, _freeze(glob)
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
+
+def _split_vector(cls: CameraClass, block_shape: tuple, m: int, vec) -> tuple:
+    """Point coefficient block, cameras and globals of a coordinate vector."""
+    vec = np.asarray(vec, dtype=float).reshape(-1)
+    block = math.prod(block_shape)
+    cams_end = block + cls.f * m
+    if vec.size != cams_end + cls.h:
+        raise ValueError(f"expected vector of length {cams_end + cls.h}, got {vec.size}")
+    cams = tuple(Camera(cls, vec[off : off + cls.f]) for off in range(block, cams_end, cls.f))
+    return vec[:block].reshape(block_shape), cams, vec[cams_end:]
+
+
+class _SceneLayout:
+    """What static and moving scenes share.
+
+    Each point owns ``point_dim`` motion coefficients, viewed as ``coefficients``
+    of shape (n, rows, d). Row 0 is the anchor, which moves like a point under
+    the symmetry group; the other rows (radius vectors, higher Taylor terms)
+    only rotate and scale. ``with_coefficients`` rebuilds the scene from such
+    rows, and ``positions(j)`` gives the positions camera ``j`` photographs.
+    The coordinate vector is all coefficients, then each camera's parameters,
+    then the scene-level parameters.
+    """
 
     @property
     def m(self) -> int:
@@ -65,31 +78,61 @@ class Scene:
 
     @property
     def dim(self) -> int:
-        """Length of the full coordinate vector d*n + f*m + h."""
-        return self.cls.d * self.n + self.cls.f * self.m + self.cls.h
+        """Length of the full coordinate vector point_dim*n + f*m + h."""
+        return self.point_dim * self.n + self.cls.f * self.m + self.cls.h
 
     def to_vector(self) -> np.ndarray:
-        parts = [self.points.ravel()]
+        parts = [self.coefficients.reshape(-1)]
         parts.extend(c.params for c in self.cams)
         parts.append(self.globals_vec)
         return np.concatenate(parts)
+
+
+@dataclass(frozen=True)
+class Scene(_SceneLayout):
+    """Static configuration: points, cameras, shared parameters."""
+
+    cls: CameraClass
+    points: np.ndarray  # (n, d)
+    cams: tuple[Camera, ...]
+    globals_vec: np.ndarray  # (h,)
+    model: ClassVar[str] = "static"  # the order-0 motion law; align compares models
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.cls.d or pts.shape[0] < 1:
+            raise ValueError(f"points must have shape (n, {self.cls.d}) with n >= 1")
+        _check_finite("points", pts)
+        cams_t, glob = _cameras_and_globals(self.cls, self.cams, self.globals_vec)
+        object.__setattr__(self, "points", _freeze(pts))
+        object.__setattr__(self, "cams", cams_t)
+        object.__setattr__(self, "globals_vec", glob)
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def point_dim(self) -> int:
+        return self.cls.d
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.points[:, None, :]
+
+    def positions(self, j: int) -> np.ndarray:
+        return self.points
+
+    def with_coefficients(self, coefficients: np.ndarray, cams) -> "Scene":
+        return Scene(self.cls, coefficients[:, 0, :], cams, self.globals_vec)
 
     def with_vector(self, vec: np.ndarray) -> "Scene":
         return scene_from_vector(self.cls, self.n, self.m, vec)
 
 
 def scene_from_vector(cls: CameraClass, n: int, m: int, vec: np.ndarray) -> Scene:
-    vec = np.asarray(vec, dtype=float).reshape(-1)
-    expected = cls.d * n + cls.f * m + cls.h
-    if vec.size != expected:
-        raise ValueError(f"expected vector of length {expected}, got {vec.size}")
-    pts = vec[: cls.d * n].reshape(n, cls.d)
-    cams_list = []
-    off = cls.d * n
-    for _ in range(m):
-        cams_list.append(Camera(cls, vec[off : off + cls.f]))
-        off += cls.f
-    return Scene(cls, pts, tuple(cams_list), vec[off:])
+    pts, cams, glob = _split_vector(cls, (n, cls.d), m, vec)
+    return Scene(cls, pts, cams, glob)
 
 
 @dataclass(frozen=True)
@@ -103,7 +146,7 @@ class Measurements:
         d = np.asarray(self.data, dtype=float)
         if d.ndim != 3 or d.shape[2] != self.cls.s:
             raise ValueError(f"data must have shape (n, m, {self.cls.s})")
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise ValueError("measurements must be finite")
         object.__setattr__(self, "data", _freeze(d))
 
@@ -120,7 +163,7 @@ class Measurements:
 
 
 @dataclass(frozen=True)
-class JetScene:
+class JetScene(_SceneLayout):
     """Moving-point configuration shot at known per-camera times.
 
     ``model`` selects the motion law. ``circle`` keeps each point on a
@@ -141,6 +184,11 @@ class JetScene:
         if self.model not in ("circle", "taylor"):
             raise ValueError(f"unknown motion model {self.model!r}")
         motion = np.asarray(self.motion, dtype=float)
+        times = np.asarray(self.times, dtype=float).reshape(-1)
+        _check_finite("motion", motion)
+        _check_finite("times", times)
+        if not math.isfinite(self.omega):
+            raise ValueError("omega must be finite")
         if self.model == "circle":
             if self.cls.d != 2:
                 raise ValueError("the circle motion model is planar")
@@ -152,63 +200,43 @@ class JetScene:
         else:
             if motion.ndim != 3 or motion.shape[2] != self.cls.d or motion.shape[0] < 1:
                 raise ValueError("taylor motion must have shape (n, k+1, d)")
-        times = np.asarray(self.times, dtype=float).reshape(-1)
-        cams_t = tuple(self.cams)
-        if times.size != len(cams_t):
+        if times.size != len(self.cams):
             raise ValueError("one shot time per camera required")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        for c in cams_t:
-            if c.cls.name != self.cls.name:
-                raise ValueError("camera class mismatch")
-        glob = np.asarray(self.globals_vec, dtype=float).reshape(-1)
-        if glob.size != self.cls.h:
-            raise ValueError(f"{self.cls.name} expects {self.cls.h} scene-level parameter(s)")
+        cams_t, glob = _cameras_and_globals(self.cls, self.cams, self.globals_vec)
         object.__setattr__(self, "motion", _freeze(motion))
         object.__setattr__(self, "times", _freeze(times))
         object.__setattr__(self, "cams", cams_t)
-        object.__setattr__(self, "globals_vec", _freeze(glob))
+        object.__setattr__(self, "globals_vec", glob)
 
     @property
     def n(self) -> int:
         return self.motion.shape[0]
 
     @property
-    def m(self) -> int:
-        return len(self.cams)
-
-    @property
     def point_dim(self) -> int:
-        return 4 if self.model == "circle" else self.motion.shape[1] * self.cls.d
+        return self.motion[0].size
 
     @property
-    def dim(self) -> int:
-        return self.point_dim * self.n + self.cls.f * self.m + self.cls.h
+    def coefficients(self) -> np.ndarray:
+        return self.motion.reshape(self.n, -1, self.cls.d)
 
     def positions_at(self, t: float) -> np.ndarray:
         return np.stack([
             jet_position(self.motion[i], t, self.model, self.omega) for i in range(self.n)
         ])
 
-    def to_vector(self) -> np.ndarray:
-        parts = [self.motion.reshape(-1)]
-        parts.extend(c.params for c in self.cams)
-        parts.append(self.globals_vec)
-        return np.concatenate(parts)
+    def positions(self, j: int) -> np.ndarray:
+        return self.positions_at(float(self.times[j]))
+
+    def with_coefficients(self, coefficients: np.ndarray, cams) -> "JetScene":
+        return JetScene(self.cls, self.model, coefficients.reshape(self.motion.shape), self.times,
+                        cams, self.globals_vec, self.omega)
 
     def with_vector(self, vec: np.ndarray) -> "JetScene":
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.size != self.dim:
-            raise ValueError(f"expected vector of length {self.dim}, got {vec.size}")
-        block = self.point_dim * self.n
-        motion = vec[:block].reshape(self.motion.shape)
-        cams_list = []
-        off = block
-        for _ in range(self.m):
-            cams_list.append(Camera(self.cls, vec[off : off + self.cls.f]))
-            off += self.cls.f
-        return JetScene(self.cls, self.model, motion, self.times, tuple(cams_list),
-                        vec[off:], self.omega)
+        motion, cams, glob = _split_vector(self.cls, self.motion.shape, self.m, vec)
+        return JetScene(self.cls, self.model, motion, self.times, cams, glob, self.omega)
 
 
 def jet_position(coeffs, t: float, model: str = "circle", omega: float = 0.0) -> np.ndarray:
@@ -227,13 +255,14 @@ def jet_position(coeffs, t: float, model: str = "circle", omega: float = 0.0) ->
     raise ValueError(f"unknown motion model {model!r}")
 
 
-def evaluate(scene: Scene) -> Measurements:
-    """Project every point through every camera."""
+def evaluate(scene: Scene | JetScene) -> Measurements:
+    """Project the positions each camera sees, at its shot time for moving
+    points, through that camera."""
     n, m, s = scene.n, scene.m, scene.cls.s
     data = np.empty((n, m, s))
     for j, camera in enumerate(scene.cams):
         try:
-            data[:, j, :] = cam.project_points(camera, scene.globals_vec, scene.points)
+            data[:, j, :] = cam.project_points(camera, scene.globals_vec, scene.positions(j))
         except SingularConfigurationError as exc:
             raise SingularConfigurationError(
                 str(exc).split(" (point")[0], point_index=exc.point_index, camera_index=j
@@ -241,19 +270,7 @@ def evaluate(scene: Scene) -> Measurements:
     return Measurements(scene.cls, data)
 
 
-def evaluate_jet(js: JetScene) -> Measurements:
-    """Project each point, at each camera's shot time, through that camera."""
-    n, m, s = js.n, js.m, js.cls.s
-    data = np.empty((n, m, s))
-    for j, camera in enumerate(js.cams):
-        pts = js.positions_at(float(js.times[j]))
-        try:
-            data[:, j, :] = cam.project_points(camera, js.globals_vec, pts)
-        except SingularConfigurationError as exc:
-            raise SingularConfigurationError(
-                str(exc).split(" (point")[0], point_index=exc.point_index, camera_index=j
-            ) from None
-    return Measurements(js.cls, data)
+evaluate_jet = evaluate
 
 
 def output_wrap_mask(cls: CameraClass, n: int, m: int) -> np.ndarray:
@@ -264,34 +281,36 @@ def output_wrap_mask(cls: CameraClass, n: int, m: int) -> np.ndarray:
     return np.tile(mask, n * m)
 
 
-def _evaluate_any(scene) -> np.ndarray:
-    if isinstance(scene, JetScene):
-        return evaluate_jet(scene).flat()
-    return evaluate(scene).flat()
+def fd_jacobian(fn, x: np.ndarray, rows: int, wrap: np.ndarray,
+                step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central finite differences of ``fn`` at ``x``, shape (rows, x.size).
 
-
-def jacobian(scene, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central finite-difference Jacobian of the flattened measurement map.
-
-    Rows follow the row-major (point, camera, chart component) order, columns
-    the scene coordinate vector. Angle-valued outputs are differenced with
-    wrapping so chart seams do not leak 2*pi jumps into the matrix.
+    Outputs marked in ``wrap`` are angles: their differences are wrapped so
+    chart seams do not leak 2*pi jumps into the matrix.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    vec = scene.to_vector()
-    wrap = output_wrap_mask(scene.cls, scene.n, scene.m)
-    rows = scene.cls.s * scene.n * scene.m
-    J = np.empty((rows, vec.size))
-    for k in range(vec.size):
-        vp = vec.copy()
-        vp[k] += step
-        vm = vec.copy()
-        vm[k] -= step
-        diff = _evaluate_any(scene.with_vector(vp)) - _evaluate_any(scene.with_vector(vm))
+    J = np.empty((rows, x.size))
+    for k in range(x.size):
+        xp = x.copy()
+        xp[k] += step
+        xm = x.copy()
+        xm[k] -= step
+        diff = fn(xp) - fn(xm)
         diff[wrap] = geometry.wrap_angle(diff[wrap])
         J[:, k] = diff / (2.0 * step)
     return J
+
+
+def jacobian(scene: Scene | JetScene, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central finite-difference Jacobian of the flattened measurement map.
+
+    Rows follow the row-major (point, camera, chart component) order, columns
+    the scene coordinate vector.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    return fd_jacobian(lambda v: evaluate(scene.with_vector(v)).flat(), scene.to_vector(),
+                       scene.cls.s * scene.n * scene.m,
+                       output_wrap_mask(scene.cls, scene.n, scene.m), step)
 
 
 @dataclass(frozen=True)
@@ -436,8 +455,7 @@ def random_jet_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0
         for j, camera in enumerate(js.cams):
             if camera.cls.kind != "omni":
                 break
-            pts = js.positions_at(float(times[j]))
-            dists = np.linalg.norm(pts - camera.params[:2], axis=1)
+            dists = np.linalg.norm(js.positions(j) - camera.params[:2], axis=1)
             if np.min(dists) < 0.25 * spread:
                 ok = False
                 break
@@ -454,22 +472,15 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     """Max numerical rank of the measurement Jacobian over random scenes.
 
     The rank can only drop on thin subsets of configuration space, so the max
-    over independent draws estimates the generic value. Trials run on a thread
-    pool capped by SFMLAB_THREADS; the merge is order-independent.
+    over independent draws estimates the generic value.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def one(t: int) -> RankReport:
-        scene = random_scene(cls, n, m, seed=(seed, t), spread=spread)
-        return numerical_rank(jacobian(scene, step=step), rel_tol=rel_tol)
-
-    workers = int(os.environ.get("SFMLAB_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, trials)) as pool:
-            reports = list(pool.map(one, range(trials)))
-    else:
-        reports = [one(t) for t in range(trials)]
+    reports = [
+        numerical_rank(jacobian(random_scene(cls, n, m, seed=(seed, t), spread=spread), step=step),
+                       rel_tol=rel_tol)
+        for t in range(trials)
+    ]
     ranks = tuple(r.rank for r in reports)
     best = max(reports, key=lambda r: (r.rank, r.gap))
     return GenericRankReport(cls.name, n, m, ranks, max(ranks), best)
@@ -494,13 +505,10 @@ def kernel_check(scene, tol: float = 1e-5, step: float = DEFAULT_FD_STEP) -> Ker
     Checks |J v| <= tol * |J| * |v| for each generator column v; directions
     that change the pictures fail the bound.
     """
-    from .symmetry import generators, jet_generators
+    from .symmetry import generators
 
     J = jacobian(scene, step=step)
-    if isinstance(scene, JetScene):
-        G = jet_generators(scene)
-    else:
-        G = generators(scene.cls, scene)
+    G = generators(scene.cls, scene)
     jnorm = float(np.linalg.norm(J, 2))
     ratios = np.array([
         float(np.linalg.norm(J @ G[:, k]) / (jnorm * np.linalg.norm(G[:, k])))

@@ -115,30 +115,16 @@ def act_camera(gamma: GroupElement, camera: Camera) -> Camera:
     raise AssertionError(f"unhandled camera kind {cls.kind}")
 
 
-def act_scene(gamma: GroupElement, scene: Scene) -> Scene:
-    return Scene(
-        scene.cls,
-        act_points(gamma, scene.points),
-        tuple(act_camera(gamma, c) for c in scene.cams),
-        scene.globals_vec,
-    )
+def act_scene(gamma: GroupElement, scene: Scene | JetScene) -> Scene | JetScene:
+    """Transform a scene: anchor rows move like points, while radius vectors
+    and higher Taylor terms only rotate and scale."""
+    coefficients = scene.coefficients
+    moved = coefficients @ (gamma.scale * gamma.rotation).T
+    moved[:, 0, :] = act_points(gamma, coefficients[:, 0, :])
+    return scene.with_coefficients(moved, tuple(act_camera(gamma, c) for c in scene.cams))
 
 
-def act_jet_scene(gamma: GroupElement, js: JetScene) -> JetScene:
-    """Transform a moving-point scene; difference vectors rotate and scale
-    but do not translate."""
-    if js.model == "circle":
-        centers = act_points(gamma, js.motion[:, :2])
-        radii = js.motion[:, 2:] @ (gamma.scale * gamma.rotation).T
-        motion = np.column_stack([centers, radii])
-    else:
-        motion = js.motion.copy()
-        motion[:, 0, :] = act_points(gamma, js.motion[:, 0, :])
-        for l in range(1, js.motion.shape[1]):
-            motion[:, l, :] = js.motion[:, l, :] @ (gamma.scale * gamma.rotation).T
-    return JetScene(js.cls, js.model, motion, js.times,
-                    tuple(act_camera(gamma, c) for c in js.cams),
-                    js.globals_vec, js.omega)
+act_jet_scene = act_scene
 
 
 def random_element(group: str, d: int, seed) -> GroupElement:
@@ -174,53 +160,44 @@ def _one_parameter_elements(group: str, d: int, t: float) -> list[GroupElement]:
 def _param_wrap_mask(scene) -> np.ndarray:
     """Mask over the scene coordinate vector marking angle-valued entries."""
     cls = scene.cls
-    if isinstance(scene, JetScene):
-        point_block = scene.point_dim * scene.n
-    else:
-        point_block = cls.d * scene.n
-    mask = np.zeros(point_block + cls.f * scene.m + cls.h, dtype=bool)
+    point_block = scene.point_dim * scene.n
+    mask = np.zeros(scene.dim, dtype=bool)
     for j in range(scene.m):
         for idx in cls.angular_param_indices:
             mask[point_block + j * cls.f + idx] = True
     return mask
 
 
-def _generators_fd(scene, act, group: str, g_expected: int, eps: float = 1e-6) -> np.ndarray:
-    base_dim = scene.to_vector().size
-    wrap = _param_wrap_mask(scene)
-    plus = _one_parameter_elements(group, scene.cls.d, eps)
-    minus = _one_parameter_elements(group, scene.cls.d, -eps)
-    cols = []
-    for gp, gm in zip(plus, minus):
-        diff = act(gp, scene).to_vector() - act(gm, scene).to_vector()
-        diff[wrap] = geometry.wrap_angle(diff[wrap])
-        cols.append(diff / (2.0 * eps))
-    G = np.column_stack(cols)
-    if G.shape != (base_dim, g_expected):
-        raise AssertionError("generator count does not match the group dimension")
-    return G
-
-
-def generators(cls: CameraClass, scene: Scene, eps: float = 1e-6) -> np.ndarray:
+def generators(cls: CameraClass, scene: Scene | JetScene, eps: float = 1e-6) -> np.ndarray:
     """Tangent vectors of the symmetry orbits at ``scene``, one column per
     group generator (translations, rotations, scaling), shape (dim, g)."""
     if scene.cls.name != cls.name:
         raise ValueError("scene class does not match")
-    G = _generators_fd(scene, act_scene, cls.group, cls.g, eps)
+    wrap = _param_wrap_mask(scene)
+    plus = _one_parameter_elements(cls.group, cls.d, eps)
+    minus = _one_parameter_elements(cls.group, cls.d, -eps)
+    cols = []
+    for gp, gm in zip(plus, minus):
+        diff = act_scene(gp, scene).to_vector() - act_scene(gm, scene).to_vector()
+        diff[wrap] = geometry.wrap_angle(diff[wrap])
+        cols.append(diff / (2.0 * eps))
+    G = np.column_stack(cols)
+    if G.shape != (scene.dim, cls.g):
+        raise AssertionError("generator count does not match the group dimension")
     if not np.all(np.isfinite(G)):
         raise DegenerateConfigurationError("generators undefined at a singular scene")
     return G
 
 
 def jet_generators(js: JetScene, eps: float = 1e-6) -> np.ndarray:
-    """Symmetry orbit tangents for a moving-point scene, shape (dim, g)."""
-    return _generators_fd(js, act_jet_scene, js.cls.group, js.cls.g, eps)
+    """``generators`` with the class taken from the scene."""
+    return generators(js.cls, js, eps)
 
 
-def _matched_positions(scene: Scene) -> np.ndarray:
-    """Positions used for alignment: points plus camera positions where the
-    class exposes one. Parameter charts are not equivariant; positions are."""
-    rows = [scene.points]
+def _matched_positions(scene) -> np.ndarray:
+    """Positions used for alignment: anchor rows plus camera positions where
+    the class exposes one. Parameter charts are not equivariant; positions are."""
+    rows = [scene.coefficients[:, 0, :]]
     if scene.cls.position_slice is not None:
         rows.append(np.stack([c.position for c in scene.cams]))
     return np.concatenate(rows, axis=0)
@@ -262,39 +239,21 @@ def _procrustes(A: np.ndarray, B: np.ndarray, group: str) -> GroupElement:
     return GroupElement(lam, R, v)
 
 
-def align(a: Scene, b: Scene) -> tuple[GroupElement, float]:
+def align(a: Scene | JetScene, b: Scene | JetScene) -> tuple[GroupElement, float]:
     """Best group element of the class's group mapping scene ``a`` onto
-    ``b``, and the residual RMSE over points and camera positions."""
-    if a.cls.name != b.cls.name or a.n != b.n or a.m != b.m:
-        raise ValueError("scenes must share class, point count, and camera count")
+    ``b``, fitted to anchor rows and camera positions, and the residual RMSE
+    over those plus the moved radius vectors or higher Taylor terms."""
+    if (a.cls.name != b.cls.name or a.model != b.model
+            or a.coefficients.shape != b.coefficients.shape or a.m != b.m):
+        raise ValueError("scenes must share class, motion model, point count, and camera count")
     A = _matched_positions(a)
     B = _matched_positions(b)
     gamma = _procrustes(A, B, a.cls.group)
-    resid = act_points(gamma, A) - B
+    a_free, b_free = (s.coefficients[:, 1:, :].reshape(-1, a.cls.d) for s in (a, b))
+    resid = np.concatenate([act_points(gamma, A) - B,
+                            a_free @ (gamma.scale * gamma.rotation).T - b_free])
     rmse = float(np.sqrt(np.mean(np.sum(resid * resid, axis=1))))
     return gamma, rmse
 
 
-def align_jet(a: JetScene, b: JetScene) -> tuple[GroupElement, float]:
-    """Align moving-point scenes via circle centers (or constant terms) and
-    camera positions; the RMSE also covers the aligned difference vectors."""
-    if a.cls.name != b.cls.name or a.n != b.n or a.m != b.m or a.model != b.model:
-        raise ValueError("jet scenes must share class, model, and counts")
-    if a.model == "circle":
-        A_anchor, B_anchor = a.motion[:, :2], b.motion[:, :2]
-        A_free, B_free = a.motion[:, 2:], b.motion[:, 2:]
-    else:
-        A_anchor, B_anchor = a.motion[:, 0, :], b.motion[:, 0, :]
-        A_free = a.motion[:, 1:, :].reshape(-1, a.cls.d)
-        B_free = b.motion[:, 1:, :].reshape(-1, b.cls.d)
-    rows_a = [A_anchor]
-    rows_b = [B_anchor]
-    if a.cls.position_slice is not None:
-        rows_a.append(np.stack([c.position for c in a.cams]))
-        rows_b.append(np.stack([c.position for c in b.cams]))
-    gamma = _procrustes(np.concatenate(rows_a), np.concatenate(rows_b), a.cls.group)
-    anchored = act_points(gamma, np.concatenate(rows_a)) - np.concatenate(rows_b)
-    free = A_free @ (gamma.scale * gamma.rotation).T - B_free
-    resid = np.concatenate([anchored, free], axis=0)
-    rmse = float(np.sqrt(np.mean(np.sum(resid * resid, axis=1))))
-    return gamma, rmse
+align_jet = align

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from sfmlab import io
 from sfmlab.cameras import catalog_lookup
@@ -174,3 +175,26 @@ def test_module_invocation_smoke():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "name,d,s,f,g,h,group"
     assert len(proc.stdout.strip().splitlines()) == 14
+
+
+@pytest.mark.parametrize("case", ["camera entry not an object", "measurements without m",
+                                  "non-finite point"])
+def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
+    scene = random_scene(catalog_lookup("omni-oriented-2d"), 3, 3, seed=4)
+    scene_doc = io.scene_to_doc(scene)
+    meas_doc = io.measurements_to_doc(evaluate(scene))
+    if case == "camera entry not an object":
+        scene_doc["cameras"][0] = 5
+    elif case == "measurements without m":
+        del meas_doc["m"]
+    else:
+        scene_doc["points"][0][0] = float("nan")  # json writes NaN, which json reads back
+    sp, mp = tmp_path / "s.json", tmp_path / "m.json"
+    sp.write_text(json.dumps(scene_doc))
+    mp.write_text(json.dumps(meas_doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfmlab", "reconstruct", str(mp), str(sp), str(tmp_path / "o.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

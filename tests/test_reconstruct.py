@@ -209,3 +209,30 @@ def test_solver_options_cap_iterations():
     init = perturb_scene(truth, 0.10, seed=124)
     report = solve(cls, evaluate(truth), init, options=SolveOptions(max_iterations=2))
     assert report.iterations <= 2
+
+
+@pytest.mark.parametrize("name", ["omni-2d", "omni-oriented-2d", "omni-3d", "perspective-3d",
+                                  "affine-ortho-3d"])
+def test_order_zero_taylor_scene_matches_its_static_scene(name):
+    """A static point is the order-0 Taylor motion law: the moving-point API
+    must give the static scene's pictures, Jacobian, orbits, pins, action and
+    alignment."""
+    from sfmlab.sfm import JetScene, jacobian
+    from sfmlab.symmetry import act_jet_scene, align_jet, generators, jet_generators
+
+    cls = catalog_lookup(name)
+    scene = random_scene(cls, 5, 3, seed=150)
+    js = JetScene(cls, "taylor", scene.points[:, None, :], np.array([0.0, 0.5, 1.5]),
+                  scene.cams, scene.globals_vec)
+    assert np.array_equal(js.to_vector(), scene.to_vector())
+    assert np.array_equal(evaluate_jet(js).data, evaluate(scene).data)
+    assert np.array_equal(jacobian(js), jacobian(scene))
+    assert np.array_equal(jet_generators(js), generators(cls, scene))
+    assert gauge_fix_jet(js).indices == gauge_fix(cls, scene).indices
+    gamma = random_element(cls.group, cls.d, 151)
+    moved_js, moved = act_jet_scene(gamma, js), act_scene(gamma, scene)
+    assert np.array_equal(moved_js.to_vector(), moved.to_vector())
+    (g_js, rmse_js), (g, rmse) = align_jet(js, moved_js), align(scene, moved)
+    assert rmse_js == rmse and g_js.scale == g.scale
+    assert np.array_equal(g_js.rotation, g.rotation)
+    assert np.array_equal(g_js.translation, g.translation)

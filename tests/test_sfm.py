@@ -223,3 +223,36 @@ def test_generic_rank_threaded_matches_sequential(monkeypatch):
     monkeypatch.setenv("SFMLAB_THREADS", "4")
     par = generic_rank(cls, 3, 3, trials=4, seed=5)
     assert seq.trial_ranks == par.trial_ranks and seq.rank == par.rank
+
+
+def _with_bad_entry(values, k, bad):
+    out = np.array(values, dtype=float)
+    out.flat[k] = bad
+    return out
+
+
+NON_FINITE_SCENES = {
+    "points": lambda s, motion, times, bad: Scene(
+        s.cls, _with_bad_entry(s.points, 1, bad), s.cams, s.globals_vec),
+    "globals": lambda s, motion, times, bad: Scene(
+        s.cls, s.points, s.cams, _with_bad_entry(s.globals_vec, 0, bad)),
+    "motion": lambda s, motion, times, bad: JetScene(
+        s.cls, "circle", _with_bad_entry(motion, 2, bad), times, s.cams, s.globals_vec, 0.7),
+    "times": lambda s, motion, times, bad: JetScene(
+        s.cls, "circle", motion, _with_bad_entry(times, 2, bad), s.cams, s.globals_vec, 0.7),
+    "omega": lambda s, motion, times, bad: JetScene(
+        s.cls, "circle", motion, times, s.cams, s.globals_vec, bad),
+    "jet globals": lambda s, motion, times, bad: JetScene(
+        s.cls, "circle", motion, times, s.cams, _with_bad_entry(s.globals_vec, 0, bad), 0.7),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", list(NON_FINITE_SCENES))
+def test_scenes_reject_non_finite_input(field, bad):
+    scene = random_scene(catalog_lookup("perspective-2d"), 3, 3, seed=160)  # h = 1
+    motion = np.column_stack([scene.points, np.full((3, 2), 0.5)])
+    times = np.array([0.0, 0.35, 0.7])
+    NON_FINITE_SCENES[field](scene, motion, times, 1.0)  # the finite version is valid
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_SCENES[field](scene, motion, times, bad)
