@@ -6,35 +6,17 @@ lower dimensional retinal surface (a plane, a line, a circle, or a sphere).
 coordinates back to ambient space, and ``camera_map`` is the composite
 idempotent map of ambient space into itself.
 
-Implemented families
---------------------
-affine-ortho
-    Orthogonal projection onto a retinal plane (a line in 2D): rotate into
-    the camera frame, keep the first ``s`` coordinates, add an in-retina
-    chart offset. Parameters: orientation block, retina offset.
-omni / omni-oriented
-    Central projection onto a unit circle/sphere around the camera center.
-    The chart is the direction angle (2D) or azimuth/polar pair (3D) of the
-    outgoing ray; non-oriented variants carry their own rotation, oriented
-    ones read directions in the world frame.
-perspective
-    Pinhole projection onto a film plane that passes through the camera
-    position, with the projection center one focal length behind the film.
-    The focal length is a fixed constant (``known``), a scene-level shared
-    parameter (``global``), or a per-camera parameter (``zoom``). Known and
-    global cameras measure film offsets in absolute units; zoom cameras
-    measure them in units of their own focal length, which is what makes a
-    joint rescaling of scene and focal lengths invisible to them.
-line
-    Orthographic projection onto a directed line in space; the chart is the
-    coordinate along the line. The component of the line's position
-    perpendicular to its direction never enters the readout and is excluded
-    from the parameter chart.
+Each kind of camera is one ``CameraClass`` subclass: ``AffineClass``,
+``OmniClass``, ``PerspectiveClass`` and ``LineClass``. A subclass holds the
+kind's parameter slices, its charts, its group action, its random sampling
+and scene placement, and its singular set. The module-level functions
+validate their arguments and delegate to the camera's class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,6 +34,12 @@ class CameraClass:
     ``d`` ambient dimension, ``s`` retinal dimension, ``f`` per-camera
     parameter count, ``g`` symmetry group dimension, ``h`` number of shared
     scene-level parameters.
+
+    Subclasses implement ``project(p, glob, pts)`` (chart coordinates of an
+    (n, d) array, shape (n, s)), ``embed(p, glob, r)``, ``act(p, scale, R,
+    v)`` (the parameters of the camera moved by ``x -> scale * R x + v``) and
+    ``sample(rng, spread)``, where ``p`` is a parameter vector and ``glob``
+    the scene-level parameters.
     """
 
     name: str
@@ -61,60 +49,281 @@ class CameraClass:
     g: int
     h: int
     group: str  # euclidean | dilation | similarity
-    kind: str  # affine | omni | perspective | line
     chart_doc: str
-    oriented: bool = True  # omni only
-    focal_mode: str | None = None  # perspective: known | global | zoom
-    known_focal: float = 1.0
+    kind: ClassVar[str]
+    # Subclasses override these with the indices their parameter vector has.
+    rotation_slice: ClassVar[slice | None] = None  # orientation block
+    position_slice: ClassVar[slice | None] = None  # camera position
+    focal_index: ClassVar[int | None] = None  # per-camera focal length
+    angular_output_indices: ClassVar[tuple[int, ...]] = ()  # chart components wrapping at +-pi
 
     @property
     def rot_dim(self) -> int:
         return 1 if self.d == 2 else 3
 
     @property
-    def rotation_slice(self) -> slice | None:
-        """Indices of the orientation block inside the parameter vector."""
-        if self.kind == "affine":
-            return slice(0, self.rot_dim)
-        if self.kind == "omni" and not self.oriented:
-            return slice(self.d, self.d + self.rot_dim)
-        if self.kind == "perspective":
-            return slice(self.d, self.d + self.rot_dim)
-        if self.kind == "line":
-            return slice(0, 2)
-        return None
+    def angular_param_indices(self) -> tuple[int, ...]:
+        """Parameter coordinates that live on a circle and wrap at +-pi."""
+        rs = self.rotation_slice
+        return (rs.start,) if self.d == 2 and rs is not None else ()
+
+    def rotation(self, p: np.ndarray) -> np.ndarray:
+        return geometry.rotation_matrix(self.d, p[self.rotation_slice])
+
+    def _turned(self, p: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Orientation coordinates of the camera after rotating the world by ``R``."""
+        return geometry.rotation_log(self.d, self.rotation(p) @ R.T)
+
+    def place(self, rng: np.random.Generator, spread: float, box: float) -> np.ndarray:
+        """Parameters of a camera for a scene whose points fill [-spread, spread]^d;
+        ``box`` is the half-width of the box that omni centers are drawn from."""
+        return self.sample(rng, spread)
+
+    def margins_ok(self, p: np.ndarray, glob: np.ndarray, positions: np.ndarray,
+                   spread: float) -> bool:
+        """Whether every row of ``positions`` keeps the sampling margins from
+        this camera's singular set and chart poles."""
+        return True
+
+    def singular_margin(self, p: np.ndarray, glob: np.ndarray, point: np.ndarray) -> float:
+        return float("inf")
+
+
+@dataclass(frozen=True)
+class AffineClass(CameraClass):
+    """Orthogonal projection onto a retinal plane (a line in 2D): rotate into
+    the camera frame, keep the first ``s`` coordinates, add an in-retina
+    chart offset. Parameters: orientation block, retina offset."""
+
+    kind: ClassVar[str] = "affine"
 
     @property
-    def position_slice(self) -> slice | None:
-        """Indices of the camera position, for classes that expose one."""
-        if self.kind in ("omni", "perspective"):
-            return slice(0, self.d)
-        return None
+    def rotation_slice(self) -> slice:
+        return slice(0, self.rot_dim)
+
+    def project(self, p, glob, pts):
+        return pts @ self.rotation(p).T[:, : self.s] + p[self.rot_dim:]
+
+    def embed(self, p, glob, r):
+        lifted = np.zeros(self.d)
+        lifted[: self.s] = r - p[self.rot_dim:]
+        return self.rotation(p).T @ lifted
+
+    def act(self, p, scale, R, v):
+        Rc_new = self.rotation(p) @ R.T
+        offset_new = p[self.rot_dim:] - (Rc_new @ v)[: self.s]
+        return np.concatenate([geometry.rotation_log(self.d, Rc_new), offset_new])
+
+    def sample(self, rng, spread):
+        rot = geometry.random_rotation_coords(self.d, rng)
+        return np.concatenate([rot, rng.uniform(-spread, spread, size=self.s)])
+
+
+@dataclass(frozen=True)
+class OmniClass(CameraClass):
+    """Central projection onto a unit circle/sphere around the camera center.
+
+    The chart is the direction angle (2D) or azimuth/polar pair (3D) of the
+    outgoing ray; non-oriented variants carry their own rotation, oriented
+    ones read directions in the world frame.
+    """
+
+    oriented: bool = True
+    kind: ClassVar[str] = "omni"
+
+    @property
+    def rotation_slice(self) -> slice | None:
+        return None if self.oriented else slice(self.d, self.d + self.rot_dim)
+
+    angular_output_indices: ClassVar[tuple[int, ...]] = (0,)
+
+    @property
+    def position_slice(self) -> slice:
+        return slice(0, self.d)
+
+    def project(self, p, glob, pts):
+        delta = pts - p[: self.d]
+        dist = np.linalg.norm(delta, axis=1)
+        bad = np.flatnonzero(dist < SINGULAR_CUTOFF)
+        if bad.size:
+            raise SingularConfigurationError(
+                "point coincides with an omni camera center", point_index=int(bad[0])
+            )
+        if self.d == 2:
+            theta = np.arctan2(delta[:, 1], delta[:, 0])
+            if not self.oriented:
+                theta -= p[2]
+            return geometry.wrap_angle(theta)[:, None]  # chart is (-pi, pi]
+        frame = delta if self.oriented else delta @ self.rotation(p).T
+        theta = geometry.wrap_angle(np.arctan2(frame[:, 1], frame[:, 0]))
+        phi = np.arccos(np.clip(frame[:, 2] / dist, -1.0, 1.0))
+        return np.column_stack([theta, phi])
+
+    def embed(self, p, glob, r):
+        if abs(r[0]) > np.pi + 1e-12:
+            raise ChartRangeError("azimuth outside (-pi, pi]")
+        center = p[: self.d]
+        if self.d == 2:
+            angle = r[0] if self.oriented else r[0] + p[2]
+            return center + np.array([np.cos(angle), np.sin(angle)])
+        if not -1e-12 <= r[1] <= np.pi + 1e-12:
+            raise ChartRangeError("polar angle outside [0, pi]")
+        u = geometry.unit_from_angles(r[0], r[1])
+        return center + (u if self.oriented else self.rotation(p).T @ u)
+
+    def act(self, p, scale, R, v):
+        center = scale * (R @ p[: self.d]) + v
+        if self.oriented:
+            return center
+        if self.d == 2:
+            return np.append(center, geometry.wrap_angle(p[2] + geometry.rot2_angle(R)))
+        return np.concatenate([center, self._turned(p, R)])
+
+    def sample(self, rng, spread):
+        center = rng.uniform(-spread, spread, size=self.d)
+        if self.oriented:
+            return center
+        return np.concatenate([center, geometry.random_rotation_coords(self.d, rng)])
+
+    def place(self, rng, spread, box):
+        return self.sample(rng, box)
+
+    def margins_ok(self, p, glob, positions, spread):
+        """Positions at least 0.25 * spread from the center and, in 3D, at
+        least ``POLE_MARGIN`` away from the poles of the polar angle."""
+        if np.linalg.norm(positions - p[: self.d], axis=1).min() < 0.25 * spread:
+            return False
+        if self.d == 2:
+            return True
+        phi = self.project(p, glob, positions)[:, 1]
+        return bool(np.minimum(phi, np.pi - phi).min() >= POLE_MARGIN)
+
+    def singular_margin(self, p, glob, point):
+        return float(np.linalg.norm(point - p[: self.d]))
+
+
+@dataclass(frozen=True)
+class PerspectiveClass(CameraClass):
+    """Pinhole projection onto a film plane that passes through the camera
+    position, with the projection center one focal length behind the film.
+
+    The focal length is a fixed constant (``known``), a scene-level shared
+    parameter (``global``), or a per-camera parameter (``zoom``). Known and
+    global cameras measure film offsets in absolute units; zoom cameras
+    measure them in units of their own focal length, which is what makes a
+    joint rescaling of scene and focal lengths invisible to them.
+    """
+
+    focal_mode: str = "known"  # known | global | zoom
+    known_focal: float = 1.0
+    kind: ClassVar[str] = "perspective"
+
+    @property
+    def rotation_slice(self) -> slice:
+        return slice(self.d, self.d + self.rot_dim)
+
+    @property
+    def position_slice(self) -> slice:
+        return slice(0, self.d)
 
     @property
     def focal_index(self) -> int | None:
-        if self.kind == "perspective" and self.focal_mode == "zoom":
-            return self.f - 1
-        return None
+        return self.f - 1 if self.focal_mode == "zoom" else None
 
-    @property
-    def angular_param_indices(self) -> tuple[int, ...]:
-        """Parameter coordinates that live on a circle and wrap at +-pi."""
-        if self.d == 2 and self.kind in ("affine", "perspective"):
-            rs = self.rotation_slice
-            return (rs.start,)
-        if self.d == 2 and self.kind == "omni" and not self.oriented:
-            return (2,)
-        if self.kind == "line":
-            return (0,)  # azimuth of the direction chart
-        return ()
+    def focal(self, p, glob) -> float:
+        if self.focal_mode == "known":
+            return self.known_focal
+        if self.focal_mode == "global":
+            return float(glob[0])
+        return float(p[self.focal_index])
 
-    @property
-    def angular_output_indices(self) -> tuple[int, ...]:
-        """Components of the retinal chart that wrap at +-pi."""
-        if self.kind == "omni":
-            return (0,)
-        return ()
+    def _depths(self, p, glob, pts):
+        """Signed distances of the points in front of the projection-center plane."""
+        return ((pts - p[: self.d]) @ self.rotation(p).T)[:, self.d - 1] + self.focal(p, glob)
+
+    def project(self, p, glob, pts):
+        F = self.focal(p, glob)
+        X = (pts - p[: self.d]) @ self.rotation(p).T
+        den = X[:, self.d - 1] + F
+        bad = np.flatnonzero(np.abs(den) < SINGULAR_CUTOFF)
+        if bad.size:
+            raise SingularConfigurationError(
+                "point lies on the projection-center plane", point_index=int(bad[0])
+            )
+        scale = 1.0 if self.focal_mode == "zoom" else F
+        return scale * X[:, : self.s] / den[:, None]
+
+    def embed(self, p, glob, r):
+        F = self.focal(p, glob)
+        lifted = np.zeros(self.d)
+        lifted[: self.s] = F * r if self.focal_mode == "zoom" else r
+        return p[: self.d] + self.rotation(p).T @ lifted
+
+    def act(self, p, scale, R, v):
+        parts = [scale * (R @ p[: self.d]) + v, self._turned(p, R)]
+        if self.focal_mode == "zoom":
+            parts.append(np.array([scale * p[self.focal_index]]))
+        return np.concatenate(parts)
+
+    def _with_focal(self, parts, rng, spread):
+        if self.focal_mode == "zoom":
+            parts.append(np.array([rng.uniform(0.5, 2.0) * spread]))
+        return np.concatenate(parts)
+
+    def sample(self, rng, spread):
+        pos = rng.uniform(-spread, spread, size=self.d)
+        return self._with_focal([pos, geometry.random_rotation_coords(self.d, rng)], rng, spread)
+
+    def place(self, rng, spread, box):
+        """Outside the point cloud, looking at a target near its middle."""
+        direction = rng.normal(size=self.d)
+        direction /= np.linalg.norm(direction)
+        pos = direction * spread * rng.uniform(2.0, 3.0)
+        target = rng.uniform(-0.3, 0.3, size=self.d) * spread
+        R = geometry.look_at_rotation(target - pos,
+                                      roll=rng.uniform(-np.pi, np.pi) if self.d == 3 else 0.0)
+        return self._with_focal([pos, geometry.rotation_log(self.d, R)], rng, spread)
+
+    def margins_ok(self, p, glob, positions, spread):
+        """Positions at least 0.5 in front of the projection-center plane."""
+        return bool(self._depths(p, glob, positions).min() >= 0.5)
+
+    def singular_margin(self, p, glob, point):
+        return float(abs(self._depths(p, glob, point[None, :])[0]))
+
+
+@dataclass(frozen=True)
+class LineClass(CameraClass):
+    """Orthographic projection onto a directed line in space; the chart is
+    the coordinate along the line. The component of the line's position
+    perpendicular to its direction never enters the readout and is excluded
+    from the parameter chart."""
+
+    kind: ClassVar[str] = "line"
+    rotation_slice: ClassVar[slice] = slice(0, 2)  # the direction chart
+    angular_param_indices: ClassVar[tuple[int, ...]] = (0,)  # azimuth of the direction
+
+    def direction(self, p) -> np.ndarray:
+        return geometry.unit_from_angles(p[0], p[1])
+
+    def project(self, p, glob, pts):
+        return (pts @ self.direction(p) - p[2])[:, None]
+
+    def embed(self, p, glob, r):
+        return (p[2] + r[0]) * self.direction(p)
+
+    def act(self, p, scale, R, v):
+        u_new = R @ self.direction(p)
+        theta, phi = geometry.angles_from_unit(u_new)
+        return np.array([theta, phi, p[2] + u_new @ v])
+
+    def sample(self, rng, spread):
+        while True:
+            theta = rng.uniform(-np.pi, np.pi)
+            phi = float(np.arccos(rng.uniform(-1.0, 1.0)))
+            if POLE_MARGIN < phi < np.pi - POLE_MARGIN:
+                break
+        return np.array([theta, phi, rng.uniform(-spread, spread)])
 
 
 @dataclass(frozen=True)
@@ -141,43 +350,39 @@ class Camera:
         return None if sl is None else self.params[sl]
 
 
-def _entry(name, d, s, f, g, h, group, kind, chart_doc, **kw) -> CameraClass:
-    return CameraClass(name, d, s, f, g, h, group, kind, chart_doc, **kw)
-
-
 _CATALOG: tuple[CameraClass, ...] = (
-    _entry("affine-ortho-2d", 2, 1, 2, 3, 0, "euclidean", "affine",
-           "params = [orientation angle, retina offset]"),
-    _entry("omni-oriented-2d", 2, 1, 2, 3, 0, "dilation", "omni",
-           "params = [center x, center y]", oriented=True),
-    _entry("omni-2d", 2, 1, 3, 4, 0, "similarity", "omni",
-           "params = [center x, center y, heading angle]", oriented=False),
-    _entry("perspective-2d", 2, 1, 3, 3, 1, "euclidean", "perspective",
-           "params = [position x, position y, orientation angle]; shared focal length",
-           focal_mode="global"),
-    _entry("perspective-zoom-2d", 2, 1, 4, 4, 0, "similarity", "perspective",
-           "params = [position x, position y, orientation angle, focal length]",
-           focal_mode="zoom"),
-    _entry("affine-ortho-3d", 3, 2, 5, 6, 0, "euclidean", "affine",
-           "params = [orientation (3, exponential), retina offset (2)]"),
-    _entry("omni-oriented-3d", 3, 2, 3, 4, 0, "dilation", "omni",
-           "params = [center (3)]", oriented=True),
-    _entry("omni-3d", 3, 2, 6, 7, 0, "similarity", "omni",
-           "params = [center (3), orientation (3, exponential)]", oriented=False),
-    _entry("perspective-3d", 3, 2, 6, 6, 1, "euclidean", "perspective",
-           "params = [position (3), orientation (3, exponential)]; shared focal length",
-           focal_mode="global"),
-    _entry("perspective-zoom-3d", 3, 2, 7, 7, 0, "similarity", "perspective",
-           "params = [position (3), orientation (3, exponential), focal length]",
-           focal_mode="zoom"),
-    _entry("line-3d", 3, 1, 3, 6, 0, "euclidean", "line",
-           "params = [direction azimuth, direction polar angle, chart offset]"),
-    _entry("perspective-known-2d", 2, 1, 3, 3, 0, "euclidean", "perspective",
-           "params = [position x, position y, orientation angle]; focal length fixed at 1",
-           focal_mode="known"),
-    _entry("perspective-known-3d", 3, 2, 6, 6, 0, "euclidean", "perspective",
-           "params = [position (3), orientation (3, exponential)]; focal length fixed at 1",
-           focal_mode="known"),
+    AffineClass("affine-ortho-2d", 2, 1, 2, 3, 0, "euclidean",
+                "params = [orientation angle, retina offset]"),
+    OmniClass("omni-oriented-2d", 2, 1, 2, 3, 0, "dilation",
+              "params = [center x, center y]", oriented=True),
+    OmniClass("omni-2d", 2, 1, 3, 4, 0, "similarity",
+              "params = [center x, center y, heading angle]", oriented=False),
+    PerspectiveClass("perspective-2d", 2, 1, 3, 3, 1, "euclidean",
+                     "params = [position x, position y, orientation angle]; shared focal length",
+                     focal_mode="global"),
+    PerspectiveClass("perspective-zoom-2d", 2, 1, 4, 4, 0, "similarity",
+                     "params = [position x, position y, orientation angle, focal length]",
+                     focal_mode="zoom"),
+    AffineClass("affine-ortho-3d", 3, 2, 5, 6, 0, "euclidean",
+                "params = [orientation (3, exponential), retina offset (2)]"),
+    OmniClass("omni-oriented-3d", 3, 2, 3, 4, 0, "dilation",
+              "params = [center (3)]", oriented=True),
+    OmniClass("omni-3d", 3, 2, 6, 7, 0, "similarity",
+              "params = [center (3), orientation (3, exponential)]", oriented=False),
+    PerspectiveClass("perspective-3d", 3, 2, 6, 6, 1, "euclidean",
+                     "params = [position (3), orientation (3, exponential)]; shared focal length",
+                     focal_mode="global"),
+    PerspectiveClass("perspective-zoom-3d", 3, 2, 7, 7, 0, "similarity",
+                     "params = [position (3), orientation (3, exponential), focal length]",
+                     focal_mode="zoom"),
+    LineClass("line-3d", 3, 1, 3, 6, 0, "euclidean",
+              "params = [direction azimuth, direction polar angle, chart offset]"),
+    PerspectiveClass("perspective-known-2d", 2, 1, 3, 3, 0, "euclidean",
+                     "params = [position x, position y, orientation angle]; focal length fixed at 1",
+                     focal_mode="known"),
+    PerspectiveClass("perspective-known-3d", 3, 2, 6, 6, 0, "euclidean",
+                     "params = [position (3), orientation (3, exponential)]; focal length fixed at 1",
+                     focal_mode="known"),
 )
 
 _BY_NAME = {c.name: c for c in _CATALOG}
@@ -196,31 +401,6 @@ def catalog_lookup(name: str) -> CameraClass:
         raise UnknownClassError(f"unknown camera class {name!r}; known: {known}") from None
 
 
-def focal_value(camera: Camera, globals_vec) -> float:
-    cls = camera.cls
-    if cls.kind != "perspective":
-        raise ValueError(f"{cls.name} has no focal length")
-    if cls.focal_mode == "known":
-        return cls.known_focal
-    if cls.focal_mode == "global":
-        return float(np.asarray(globals_vec, dtype=float)[0])
-    return float(camera.params[cls.focal_index])
-
-
-def _camera_rotation(camera: Camera) -> np.ndarray:
-    sl = camera.cls.rotation_slice
-    if camera.cls.kind == "omni" and camera.cls.oriented:
-        return np.eye(camera.cls.d)
-    if camera.cls.kind == "line":
-        raise ValueError("line cameras use a direction chart, not a rotation block")
-    return geometry.rotation_matrix(camera.cls.d, camera.params[sl])
-
-
-def line_direction(camera: Camera) -> np.ndarray:
-    theta, phi = camera.params[0], camera.params[1]
-    return geometry.unit_from_angles(theta, phi)
-
-
 def _as_globals(cls: CameraClass, globals_vec) -> np.ndarray:
     if globals_vec is None:
         if cls.h:
@@ -236,49 +416,7 @@ def project_points(camera: Camera, globals_vec, points: np.ndarray) -> np.ndarra
     """Chart coordinates of several points under one camera, shape (n, s)."""
     cls = camera.cls
     pts = np.asarray(points, dtype=float).reshape(-1, cls.d)
-    glob = _as_globals(cls, globals_vec)
-
-    if cls.kind == "affine":
-        R = _camera_rotation(camera)
-        offset = camera.params[cls.rot_dim:]
-        return pts @ R.T[:, : cls.s] + offset
-
-    if cls.kind == "omni":
-        delta = pts - camera.params[: cls.d]
-        dist = np.linalg.norm(delta, axis=1)
-        bad = np.flatnonzero(dist < SINGULAR_CUTOFF)
-        if bad.size:
-            raise SingularConfigurationError(
-                "point coincides with an omni camera center", point_index=int(bad[0])
-            )
-        if cls.d == 2:
-            theta = np.arctan2(delta[:, 1], delta[:, 0])
-            if not cls.oriented:
-                theta -= camera.params[2]
-            return geometry.wrap_angle(theta)[:, None]  # chart is (-pi, pi]
-        frame = delta if cls.oriented else delta @ _camera_rotation(camera).T
-        theta = geometry.wrap_angle(np.arctan2(frame[:, 1], frame[:, 0]))
-        phi = np.arccos(np.clip(frame[:, 2] / dist, -1.0, 1.0))
-        return np.column_stack([theta, phi])
-
-    if cls.kind == "perspective":
-        F = focal_value(camera, glob)
-        R = _camera_rotation(camera)
-        X = (pts - camera.params[: cls.d]) @ R.T
-        den = X[:, cls.d - 1] + F
-        bad = np.flatnonzero(np.abs(den) < SINGULAR_CUTOFF)
-        if bad.size:
-            raise SingularConfigurationError(
-                "point lies on the projection-center plane", point_index=int(bad[0])
-            )
-        scale = F if cls.focal_mode in ("known", "global") else 1.0
-        return scale * X[:, : cls.s] / den[:, None]
-
-    if cls.kind == "line":
-        u = line_direction(camera)
-        return (pts @ u - camera.params[2])[:, None]
-
-    raise AssertionError(f"unhandled camera kind {cls.kind}")
+    return cls.project(camera.params, _as_globals(cls, globals_vec), pts)
 
 
 def project(camera: Camera, globals_vec, point) -> np.ndarray:
@@ -294,42 +432,7 @@ def embed(camera: Camera, globals_vec, r) -> np.ndarray:
         raise ChartRangeError(f"{cls.name} chart has {cls.s} coordinates, got {r.size}")
     if not np.all(np.isfinite(r)):
         raise ChartRangeError("chart coordinates must be finite")
-    glob = _as_globals(cls, globals_vec)
-
-    if cls.kind == "affine":
-        R = _camera_rotation(camera)
-        offset = camera.params[cls.rot_dim:]
-        lifted = np.zeros(cls.d)
-        lifted[: cls.s] = r - offset
-        return R.T @ lifted
-
-    if cls.kind == "omni":
-        if abs(r[0]) > np.pi + 1e-12:
-            raise ChartRangeError("azimuth outside (-pi, pi]")
-        center = camera.params[: cls.d]
-        if cls.d == 2:
-            angle = r[0] if cls.oriented else r[0] + camera.params[2]
-            return center + np.array([np.cos(angle), np.sin(angle)])
-        if not -1e-12 <= r[1] <= np.pi + 1e-12:
-            raise ChartRangeError("polar angle outside [0, pi]")
-        u = geometry.unit_from_angles(r[0], r[1])
-        if cls.oriented:
-            return center + u
-        return center + _camera_rotation(camera).T @ u
-
-    if cls.kind == "perspective":
-        F = focal_value(camera, glob)
-        R = _camera_rotation(camera)
-        offsets = r if cls.focal_mode in ("known", "global") else F * r
-        lifted = np.zeros(cls.d)
-        lifted[: cls.s] = offsets
-        return camera.params[: cls.d] + R.T @ lifted
-
-    if cls.kind == "line":
-        u = line_direction(camera)
-        return (camera.params[2] + r[0]) * u
-
-    raise AssertionError(f"unhandled camera kind {cls.kind}")
+    return cls.embed(camera.params, _as_globals(cls, globals_vec), r)
 
 
 def camera_map(camera: Camera, globals_vec, point) -> np.ndarray:
@@ -340,28 +443,8 @@ def camera_map(camera: Camera, globals_vec, point) -> np.ndarray:
 def singular_margin(camera: Camera, globals_vec, point) -> float:
     """Distance from ``point`` to the camera's singular set (inf if none)."""
     cls = camera.cls
-    p = np.asarray(point, dtype=float)
-    if cls.kind == "omni":
-        return float(np.linalg.norm(p - camera.params[: cls.d]))
-    if cls.kind == "perspective":
-        F = focal_value(camera, _as_globals(cls, globals_vec))
-        R = _camera_rotation(camera)
-        X = R @ (p - camera.params[: cls.d])
-        return float(abs(X[cls.d - 1] + F))
-    return float("inf")
-
-
-def pole_margin(camera: Camera, globals_vec, point) -> float:
-    """Angular distance of the measured direction from a chart pole.
-
-    Only 3D omni charts have poles tied to the point; everything else
-    returns inf. Used by scene samplers to keep angle charts regular.
-    """
-    cls = camera.cls
-    if cls.kind == "omni" and cls.d == 3:
-        r = project(camera, globals_vec, point)
-        return float(min(r[1], np.pi - r[1]))
-    return float("inf")
+    return cls.singular_margin(camera.params, _as_globals(cls, globals_vec),
+                               np.asarray(point, dtype=float))
 
 
 def random_camera(cls: CameraClass, seed, spread: float = 2.0) -> Camera:
@@ -370,33 +453,4 @@ def random_camera(cls: CameraClass, seed, spread: float = 2.0) -> Camera:
     in [0.5, 2] * spread."""
     if spread <= 0:
         raise ValueError("spread must be positive")
-    return random_camera_rng(cls, np.random.default_rng(seed), spread)
-
-
-def random_camera_rng(cls: CameraClass, rng: np.random.Generator, spread: float = 2.0) -> Camera:
-    if cls.kind == "affine":
-        rot = geometry.random_rotation_coords(cls.d, rng)
-        offset = rng.uniform(-spread, spread, size=cls.s)
-        return Camera(cls, np.concatenate([rot, offset]))
-    if cls.kind == "omni":
-        center = rng.uniform(-spread, spread, size=cls.d)
-        if cls.oriented:
-            return Camera(cls, center)
-        rot = geometry.random_rotation_coords(cls.d, rng)
-        return Camera(cls, np.concatenate([center, rot]))
-    if cls.kind == "perspective":
-        pos = rng.uniform(-spread, spread, size=cls.d)
-        rot = geometry.random_rotation_coords(cls.d, rng)
-        parts = [pos, rot]
-        if cls.focal_mode == "zoom":
-            parts.append(np.array([rng.uniform(0.5, 2.0) * spread]))
-        return Camera(cls, np.concatenate(parts))
-    if cls.kind == "line":
-        while True:
-            theta = rng.uniform(-np.pi, np.pi)
-            phi = float(np.arccos(rng.uniform(-1.0, 1.0)))
-            if POLE_MARGIN < phi < np.pi - POLE_MARGIN:
-                break
-        c = rng.uniform(-spread, spread)
-        return Camera(cls, np.array([theta, phi, c]))
-    raise AssertionError(f"unhandled camera kind {cls.kind}")
+    return Camera(cls, cls.sample(np.random.default_rng(seed), spread))

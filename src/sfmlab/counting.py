@@ -56,11 +56,7 @@ def _cls(cls: CameraClass | str) -> CameraClass:
 
 def feasible(cls: CameraClass | str, n: int, m: int) -> FeasibilityReport:
     c = _cls(cls)
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    lhs = c.d * n + c.f * m + c.h
-    rhs = c.s * n * m + c.g
-    return FeasibilityReport(n, m, lhs, rhs, rhs - lhs)
+    return jet_feasible(c.d, c.f, c.g, c.h, c.s, n, m)
 
 
 def _min_count(per_unit: int, constant: int) -> int | None:
@@ -81,9 +77,7 @@ def _min_count(per_unit: int, constant: int) -> int | None:
 def min_points(cls: CameraClass | str, m: int) -> int | None:
     """Smallest feasible point count for ``m`` cameras, None if no count works."""
     c = _cls(cls)
-    if m < 1:
-        raise ValueError("need m >= 1")
-    return _min_count(c.s * m - c.d, c.g - c.f * m - c.h)
+    return jet_min_points(c.d, c.f, c.g, c.h, c.s, m)
 
 
 def min_cameras(cls: CameraClass | str, n: int) -> int | None:

@@ -93,6 +93,24 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _numbers(value, context: str) -> np.ndarray:
+    """A JSON number or regularly nested lists of numbers as a float array."""
+    try:
+        arr = np.asarray(value)
+        if not np.issubdtype(arr.dtype, np.number):
+            raise TypeError
+        return arr.astype(float)
+    except (TypeError, ValueError):
+        raise FormatError(f"{context} must be a number or a regular list of numbers") from None
+
+
+def _number(value, context: str, integral: bool = False):
+    x = _numbers(value, context)
+    if x.ndim or (integral and not float(x).is_integer()):
+        raise FormatError(f"{context} must be a single {'integer' if integral else 'number'}")
+    return int(x) if integral else float(x)
+
+
 def doc_to_scene(doc: dict) -> Scene | JetScene:
     if not isinstance(doc, dict):
         raise FormatError("scene document must be a JSON object")
@@ -103,16 +121,17 @@ def doc_to_scene(doc: dict) -> Scene | JetScene:
     if not isinstance(cam_docs, list):
         raise FormatError("scene: 'cameras' must be a list")
     cams = tuple(
-        Camera(cls, np.asarray(_require(c, "params", "camera"), dtype=float)) for c in cam_docs
+        Camera(cls, _numbers(_require(c, "params", "camera"), "camera params")) for c in cam_docs
     )
-    glob = np.asarray(doc.get("globals", []), dtype=float)
+    glob = _numbers(doc.get("globals", []), "scene globals")
     try:
         if "model" in doc:
             model = str(doc["model"])
-            motion = np.asarray(_require(doc, "motion", "jet scene"), dtype=float)
-            return JetScene(cls, model, motion, np.asarray(_require(doc, "times", "jet scene")),
-                            cams, glob, float(doc.get("omega", 0.0)))
-        points = np.asarray(_require(doc, "points", "scene"), dtype=float)
+            motion = _numbers(_require(doc, "motion", "jet scene"), "jet scene motion")
+            times = _numbers(_require(doc, "times", "jet scene"), "jet scene times")
+            return JetScene(cls, model, motion, times, cams, glob,
+                            _number(doc.get("omega", 0.0), "jet scene omega"))
+        points = _numbers(_require(doc, "points", "scene"), "scene points")
         return Scene(cls, points, cams, glob)
     except ValueError as exc:
         raise FormatError(f"scene document invalid: {exc}") from None
@@ -132,8 +151,9 @@ def doc_to_measurements(doc: dict) -> Measurements:
     if not isinstance(doc, dict):
         raise FormatError("measurements document must be a JSON object")
     cls = catalog_lookup(str(_require(doc, "class", "measurements")))
-    data = np.asarray(_require(doc, "data", "measurements"), dtype=float)
-    n, m, s = (int(_require(doc, key, "measurements")) for key in ("n", "m", "s"))
+    data = _numbers(_require(doc, "data", "measurements"), "measurements data")
+    n, m, s = (_number(_require(doc, key, "measurements"), f"measurements {key!r}", integral=True)
+               for key in ("n", "m", "s"))
     if s != cls.s or data.shape != (n, m, s):
         raise FormatError(
             f"measurements data shape {data.shape} does not match header (n={n}, m={m}, s={s})"

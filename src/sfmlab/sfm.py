@@ -364,22 +364,27 @@ class GenericRankReport:
     best: RankReport  # report of the best trial (max rank, then widest gap)
 
 
-def _scene_margins_ok(scene: Scene, dist_margin: float, front_margin: float,
-                      pole: float = cam.POLE_MARGIN) -> bool:
-    for camera in scene.cams:
-        for p in scene.points:
-            if camera.cls.kind == "omni":
-                if cam.singular_margin(camera, scene.globals_vec, p) < dist_margin:
-                    return False
-                if cam.pole_margin(camera, scene.globals_vec, p) < pole:
-                    return False
-            elif camera.cls.kind == "perspective":
-                F = cam.focal_value(camera, scene.globals_vec)
-                R = geometry.rotation_matrix(camera.cls.d, camera.params[camera.cls.rotation_slice])
-                depth = (R @ (p - camera.params[: camera.cls.d]))[camera.cls.d - 1] + F
-                if depth < front_margin:
-                    return False
-    return True
+def _draw_scene(cls: CameraClass, m: int, seed, spread: float, box: float, max_tries: int,
+                draw_points) -> Scene | JetScene:
+    """Draw scenes until every camera keeps its margins from the positions it sees.
+
+    Each try draws the point coefficients (``draw_points(rng)`` returns a
+    function of the cameras and shared parameters that builds the scene),
+    then the shared parameters, then the cameras through their class's
+    placement; ``box`` bounds omni camera centers.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        build = draw_points(rng)
+        glob = np.array([rng.uniform(0.5, 2.0) * spread]) if cls.h else np.zeros(0)
+        cams = tuple(Camera(cls, cls.place(rng, spread, box)) for _ in range(m))
+        scene = build(cams, glob)
+        if all(cls.margins_ok(c.params, scene.globals_vec, scene.positions(j), spread)
+               for j, c in enumerate(scene.cams)):
+            return scene
+    raise DegenerateConfigurationError(
+        f"no non-singular {cls.name} scene found in {max_tries} draws"
+    )
 
 
 def random_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0,
@@ -393,77 +398,31 @@ def random_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0,
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 points and m >= 1 cameras")
-    rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+
+    def draw_points(rng):
         points = rng.uniform(-spread, spread, size=(n, cls.d))
-        glob = np.array([rng.uniform(0.5, 2.0) * spread]) if cls.h else np.zeros(0)
-        cams_list = []
-        for _ in range(m):
-            if cls.kind == "perspective":
-                direction = rng.normal(size=cls.d)
-                direction /= np.linalg.norm(direction)
-                pos = direction * spread * rng.uniform(2.0, 3.0)
-                target = rng.uniform(-0.3, 0.3, size=cls.d) * spread
-                R = geometry.look_at_rotation(target - pos,
-                                              roll=rng.uniform(-np.pi, np.pi) if cls.d == 3 else 0.0)
-                rot = geometry.rotation_log(cls.d, R)
-                parts = [pos, rot]
-                if cls.focal_mode == "zoom":
-                    parts.append(np.array([rng.uniform(0.5, 2.0) * spread]))
-                cams_list.append(Camera(cls, np.concatenate(parts)))
-            elif cls.kind == "omni":
-                center = rng.uniform(-1.6 * spread, 1.6 * spread, size=cls.d)
-                if cls.oriented:
-                    cams_list.append(Camera(cls, center))
-                else:
-                    rot = geometry.random_rotation_coords(cls.d, rng)
-                    cams_list.append(Camera(cls, np.concatenate([center, rot])))
-            else:
-                cams_list.append(cam.random_camera_rng(cls, rng, spread))
-        scene = Scene(cls, points, tuple(cams_list), glob)
-        if _scene_margins_ok(scene, dist_margin=0.25 * spread, front_margin=0.5):
-            return scene
-    raise DegenerateConfigurationError(
-        f"no non-singular {cls.name} scene found in {max_tries} draws"
-    )
+        return lambda cams, glob: Scene(cls, points, cams, glob)
+
+    return _draw_scene(cls, m, seed, spread, 1.6 * spread, max_tries, draw_points)
 
 
 def random_jet_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0,
                      omega: float = 0.7, max_tries: int = 100) -> JetScene:
-    """Deterministic circle-motion scene observed by planar cameras."""
+    """Deterministic circle-motion scene observed by planar cameras, with
+    shared parameters, camera placement and margins as in ``random_scene``."""
     if cls.d != 2:
         raise ValueError("circle jets are planar")
-    rng = np.random.default_rng(seed)
     times = 0.35 * np.arange(m)
-    for _ in range(max_tries):
+
+    def draw_points(rng):
         centers = rng.uniform(-spread, spread, size=(n, 2))
         angles = rng.uniform(-np.pi, np.pi, size=n)
         radii = rng.uniform(0.3, 0.8, size=n) * spread
         motion = np.column_stack([centers,
                                   radii * np.cos(angles), radii * np.sin(angles)])
-        cams_list = []
-        for _ in range(m):
-            center = rng.uniform(-1.8 * spread, 1.8 * spread, size=2)
-            if cls.kind == "omni" and not cls.oriented:
-                cams_list.append(Camera(cls, np.append(center, rng.uniform(-np.pi, np.pi))))
-            elif cls.kind == "omni":
-                cams_list.append(Camera(cls, center))
-            else:
-                cams_list.append(cam.random_camera_rng(cls, rng, spread))
-        js = JetScene(cls, "circle", motion, times, tuple(cams_list), np.zeros(cls.h), omega)
-        ok = True
-        for j, camera in enumerate(js.cams):
-            if camera.cls.kind != "omni":
-                break
-            dists = np.linalg.norm(js.positions(j) - camera.params[:2], axis=1)
-            if np.min(dists) < 0.25 * spread:
-                ok = False
-                break
-        if ok:
-            return js
-    raise DegenerateConfigurationError(
-        f"no non-singular jet scene found in {max_tries} draws"
-    )
+        return lambda cams, glob: JetScene(cls, "circle", motion, times, cams, glob, omega)
+
+    return _draw_scene(cls, m, seed, spread, 1.8 * spread, max_tries, draw_points)
 
 
 def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 0,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cameras as cam
 from . import geometry
 from .cameras import Camera, CameraClass
 from .errors import DegenerateConfigurationError, GroupMismatchError
@@ -78,41 +77,7 @@ def act_camera(gamma: GroupElement, camera: Camera) -> Camera:
     identically to the original photographing the original points."""
     cls = camera.cls
     _check_group(gamma, cls)
-    R, lam, v = gamma.rotation, gamma.scale, gamma.translation
-    p = camera.params
-
-    if cls.kind == "affine":
-        Rc = geometry.rotation_matrix(cls.d, p[cls.rotation_slice])
-        Rc_new = Rc @ R.T
-        offset_new = p[cls.rot_dim:] - (Rc_new @ v)[: cls.s]
-        return Camera(cls, np.concatenate([geometry.rotation_log(cls.d, Rc_new), offset_new]))
-
-    if cls.kind == "omni":
-        center_new = act_point(gamma, p[: cls.d])
-        if cls.oriented:
-            return Camera(cls, center_new)
-        if cls.d == 2:
-            beta = geometry.rot2_angle(R)
-            return Camera(cls, np.append(center_new, geometry.wrap_angle(p[2] + beta)))
-        Rc = geometry.rotation_matrix(3, p[3:6])
-        return Camera(cls, np.concatenate([center_new, geometry.rot3_log(Rc @ R.T)]))
-
-    if cls.kind == "perspective":
-        pos_new = act_point(gamma, p[: cls.d])
-        Rc = geometry.rotation_matrix(cls.d, p[cls.rotation_slice])
-        rot_new = geometry.rotation_log(cls.d, Rc @ R.T)
-        parts = [pos_new, rot_new]
-        if cls.focal_mode == "zoom":
-            parts.append(np.array([lam * p[cls.focal_index]]))
-        return Camera(cls, np.concatenate(parts))
-
-    if cls.kind == "line":
-        u_new = R @ cam.line_direction(camera)
-        theta, phi = geometry.angles_from_unit(u_new)
-        c_new = p[2] + u_new @ v
-        return Camera(cls, np.array([theta, phi, c_new]))
-
-    raise AssertionError(f"unhandled camera kind {cls.kind}")
+    return Camera(cls, cls.act(camera.params, gamma.scale, gamma.rotation, gamma.translation))
 
 
 def act_scene(gamma: GroupElement, scene: Scene | JetScene) -> Scene | JetScene:

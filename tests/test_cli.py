@@ -6,11 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfmlab import io
 from sfmlab.cameras import catalog_lookup
 from sfmlab.cli import main
-from sfmlab.sfm import evaluate, random_scene
+from sfmlab.errors import FormatError, SfmlabError
+from sfmlab.sfm import evaluate, random_jet_scene, random_scene
 
 
 def test_catalog_table_and_row_count(capsys):
@@ -178,7 +181,8 @@ def test_module_invocation_smoke():
 
 
 @pytest.mark.parametrize("case", ["camera entry not an object", "measurements without m",
-                                  "non-finite point"])
+                                  "non-finite point", "measurements n a list",
+                                  "camera params an object", "scene globals an object"])
 def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
     scene = random_scene(catalog_lookup("omni-oriented-2d"), 3, 3, seed=4)
     scene_doc = io.scene_to_doc(scene)
@@ -187,8 +191,14 @@ def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
         scene_doc["cameras"][0] = 5
     elif case == "measurements without m":
         del meas_doc["m"]
-    else:
+    elif case == "non-finite point":
         scene_doc["points"][0][0] = float("nan")  # json writes NaN, which json reads back
+    elif case == "measurements n a list":
+        meas_doc["n"] = [1]
+    elif case == "camera params an object":
+        scene_doc["cameras"][0]["params"] = {"a": 1}
+    else:
+        scene_doc["globals"] = {"a": 1}
     sp, mp = tmp_path / "s.json", tmp_path / "m.json"
     sp.write_text(json.dumps(scene_doc))
     mp.write_text(json.dumps(meas_doc))
@@ -198,3 +208,46 @@ def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+# the exceptions cli.main reports as "error: ..." with exit code 2
+EXIT_2_ERRORS = (FormatError, SfmlabError, OSError, ValueError)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _fuzz_documents():
+    static = random_scene(catalog_lookup("perspective-2d"), 3, 3, seed=4)
+    jet = random_jet_scene(catalog_lookup("omni-2d"), 4, 4, seed=4)
+    docs = [("scene", io.scene_to_doc(static)), ("scene", io.scene_to_doc(jet)),
+            ("measurements", io.measurements_to_doc(evaluate(static)))]
+    # (document index, path of the field to replace)
+    paths = [(k, (key,)) for k, (_, doc) in enumerate(docs) for key in doc]
+    paths += [(k, ("cameras", 1)) for k in (0, 1)] + [(k, ("cameras", 1, "params")) for k in (0, 1)]
+    paths += [(0, ("points", 2)), (1, ("motion", 0)), (2, ("data", 1, 0))]
+    return docs, paths
+
+
+FUZZ_DOCS, FUZZ_PATHS = _fuzz_documents()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FUZZ_PATHS), JSON_VALUES)
+def test_documents_with_a_random_field_fail_only_with_exit_2_errors(where, value):
+    k, path = where
+    kind, doc = FUZZ_DOCS[k]
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    read = io.doc_to_scene if kind == "scene" else io.doc_to_measurements
+    try:
+        read(doc)
+    except EXIT_2_ERRORS:
+        pass

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sfmlab.cameras import Camera, catalog_lookup, project
+from sfmlab import geometry
+from sfmlab.cameras import POLE_MARGIN, Camera, catalog, catalog_lookup, project
 from sfmlab.errors import SingularConfigurationError
 from sfmlab.sfm import (
     JetScene,
@@ -256,3 +257,41 @@ def test_scenes_reject_non_finite_input(field, bad):
     NON_FINITE_SCENES[field](scene, motion, times, 1.0)  # the finite version is valid
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_SCENES[field](scene, motion, times, bad)
+
+
+SAMPLED_SCENES = ([("static", c.name) for c in catalog()]
+                  + [("circle", c.name) for c in catalog() if c.d == 2])
+
+
+@pytest.mark.parametrize("model,name", SAMPLED_SCENES)
+def test_samplers_keep_their_margins(model, name):
+    cls = catalog_lookup(name)
+    spread = 2.0
+    for k in range(3):
+        if model == "static":
+            scene = random_scene(cls, 6, 4, seed=(k, 5), spread=spread)
+        else:
+            scene = random_jet_scene(cls, 6, 5, seed=(k, 3), spread=spread)
+        data = evaluate(scene).data
+        assert np.ptp(data) > 0, "all measurements are equal"
+        for j, camera in enumerate(scene.cams):
+            X, p = scene.positions(j), camera.params
+            if cls.kind == "omni":
+                delta = X - p[: cls.d]
+                dist = np.sqrt(np.sum(delta * delta, axis=1))
+                assert dist.min() >= 0.25 * spread
+                if cls.d == 3:
+                    if cls.rotation_slice is not None:
+                        delta = delta @ geometry.rot3(p[cls.rotation_slice]).T
+                    phi = np.arccos(delta[:, 2] / dist)
+                    assert np.all((phi >= POLE_MARGIN) & (phi <= np.pi - POLE_MARGIN))
+            if cls.kind == "perspective":
+                if cls.h:
+                    focal = scene.globals_vec[0]
+                elif cls.focal_index is not None:
+                    focal = p[cls.focal_index]
+                else:
+                    focal = cls.known_focal
+                R = geometry.rotation_matrix(cls.d, p[cls.rotation_slice])
+                depth = (X - p[: cls.d]) @ R[-1] + focal
+                assert depth.min() >= 0.5
