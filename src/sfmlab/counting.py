@@ -121,15 +121,17 @@ def jet_min_points(point_dim: int, f: int, g: int, h: int, s: int, m: int) -> in
 
 
 def jet_min_cameras(point_dim: int, f: int, g: int, h: int, s: int) -> int:
-    """Smallest camera count for which some point count is feasible."""
+    """Smallest camera count from which on every large enough point count is
+    feasible.
+
+    Fewer cameras can still fit a few small point counts (``min_cameras``
+    finds those). Solved by coefficient comparison: at m = point_dim / s the
+    slack is g - f*m - h for every n, and above it the slack grows with n.
+    """
     if s < 1:
         raise ValueError("need at least one measured value per picture (s >= 1)")
-    m = 1
-    while True:
-        per_point = s * m - point_dim
-        if per_point > 0 or (per_point == 0 and g - f * m - h >= 0):
-            return m
-        m += 1
+    q, r = divmod(point_dim, s)
+    return q if q >= 1 and r == 0 and g - f * q - h >= 0 else q + 1
 
 
 def anchored_slack(cls: CameraClass | str, n: int, m: int) -> int:

@@ -64,24 +64,17 @@ def read_json(path) -> dict:
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=float).ravel()]
-
-
 def scene_to_doc(scene: Scene | JetScene) -> dict:
     doc = {"version": SCENE_VERSION, "class": scene.cls.name}
     if isinstance(scene, JetScene):
         doc["model"] = scene.model
         doc["omega"] = float(scene.omega)
-        doc["times"] = _float_list(scene.times)
-        if scene.model == "circle":
-            doc["motion"] = [_float_list(row) for row in scene.motion]
-        else:
-            doc["motion"] = [[_float_list(c) for c in point] for point in scene.motion]
+        doc["times"] = scene.times.tolist()
+        doc["motion"] = scene.motion.tolist()
     else:
-        doc["points"] = [_float_list(p) for p in scene.points]
-    doc["cameras"] = [{"params": _float_list(c.params)} for c in scene.cams]
-    doc["globals"] = _float_list(scene.globals_vec)
+        doc["points"] = scene.points.tolist()
+    doc["cameras"] = [{"params": c.params.tolist()} for c in scene.cams]
+    doc["globals"] = scene.globals_vec.tolist()
     return doc
 
 
@@ -143,7 +136,7 @@ def measurements_to_doc(meas: Measurements) -> dict:
         "n": meas.n,
         "m": meas.m,
         "s": meas.cls.s,
-        "data": [[_float_list(cell) for cell in row] for row in meas.data],
+        "data": meas.data.tolist(),
     }
 
 

@@ -222,13 +222,8 @@ class JetScene(_SceneLayout):
     def coefficients(self) -> np.ndarray:
         return self.motion.reshape(self.n, -1, self.cls.d)
 
-    def positions_at(self, t: float) -> np.ndarray:
-        return np.stack([
-            jet_position(self.motion[i], t, self.model, self.omega) for i in range(self.n)
-        ])
-
     def positions(self, j: int) -> np.ndarray:
-        return self.positions_at(float(self.times[j]))
+        return jet_position(self.motion, self.times[j], self.model, self.omega)
 
     def with_coefficients(self, coefficients: np.ndarray, cams) -> "JetScene":
         return JetScene(self.cls, self.model, coefficients.reshape(self.motion.shape), self.times,
@@ -240,18 +235,18 @@ class JetScene(_SceneLayout):
 
 
 def jet_position(coeffs, t: float, model: str = "circle", omega: float = 0.0) -> np.ndarray:
-    """Position of one moving point at time ``t``.
+    """Position at time ``t`` of one moving point, or of a stack of them.
 
+    ``coeffs`` is one point's motion row (circle: (4,); taylor: (k+1, d)) or
+    a stack of such rows along the leading axes.
     Circle model: center + R(omega * t) applied to the radius vector.
-    Taylor model: sum of coeffs[l] * t**l over the rows of ``coeffs``.
+    Taylor model: sum of coeffs[..., l, :] * t**l over the Taylor rows.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if model == "circle":
-        center, radius = coeffs[:2], coeffs[2:]
-        return center + geometry.rot2(omega * t) @ radius
+        return coeffs[..., :2] + (geometry.rot2(omega * t) @ coeffs[..., 2:, None])[..., 0]
     if model == "taylor":
-        powers = t ** np.arange(coeffs.shape[0])
-        return powers @ coeffs
+        return (t ** np.arange(coeffs.shape[-2])) @ coeffs
     raise ValueError(f"unknown motion model {model!r}")
 
 
@@ -469,8 +464,5 @@ def kernel_check(scene, tol: float = 1e-5, step: float = DEFAULT_FD_STEP) -> Ker
     J = jacobian(scene, step=step)
     G = generators(scene.cls, scene)
     jnorm = float(np.linalg.norm(J, 2))
-    ratios = np.array([
-        float(np.linalg.norm(J @ G[:, k]) / (jnorm * np.linalg.norm(G[:, k])))
-        for k in range(G.shape[1])
-    ])
+    ratios = np.linalg.norm(J @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))
     return KernelCheckReport(ratios, tol, bool(np.all(ratios <= tol)))

@@ -152,6 +152,20 @@ def test_jet_circle_preset():
     assert jet_min_points(m=4, **kw) is None
 
 
+def test_jet_min_cameras_matches_search_over_large_point_counts():
+    # n = 1000 outweighs every constant term on this grid, so feasibility at
+    # n = 1000 for m and every larger m up to 20 is what the docstring promises.
+    for point_dim in range(9):
+        for f in range(9):
+            for g in range(10):
+                for h in range(3):
+                    for s in range(1, 5):
+                        ok = [jet_feasible(point_dim, f, g, h, s, 1000, m).feasible
+                              for m in range(1, 21)]
+                        brute = next(m for m in range(1, 21) if all(ok[m - 1:]))
+                        assert jet_min_cameras(point_dim, f, g, h, s) == brute
+
+
 def test_jet_order_zero_reduces_to_static():
     for name in ("omni-oriented-2d", "affine-ortho-3d", "perspective-3d"):
         cls = catalog_lookup(name)

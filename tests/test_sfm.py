@@ -71,6 +71,24 @@ def test_jet_position_circle_and_taylor():
     assert np.allclose(jet_position(taylor, 2.0, "taylor"), [2.0, -2.0])
 
 
+def test_jet_position_of_a_stack_equals_its_rows_exactly():
+    rng = np.random.default_rng(65)
+    stacks = [("circle", rng.normal(size=(7, 4)))]
+    stacks += [("taylor", rng.normal(size=(7, k + 1, d))) for k in range(4) for d in (2, 3)]
+    for model, coeffs in stacks:
+        for t in (0.0, 0.35, -1.7, 2.45):
+            rows = np.array([jet_position(c, t, model, omega=0.7) for c in coeffs])
+            assert np.array_equal(jet_position(coeffs, t, model, omega=0.7), rows)
+    cls = catalog_lookup("omni-2d")
+    circle = random_jet_scene(cls, 6, 5, seed=66)
+    taylor = JetScene(cls, "taylor", rng.normal(size=(6, 3, 2)), circle.times, circle.cams,
+                      circle.globals_vec)
+    for js in (circle, taylor):
+        for j in range(js.m):
+            assert np.array_equal(js.positions(j),
+                                  jet_position(js.motion, js.times[j], js.model, js.omega))
+
+
 def test_evaluate_jet_taylor_order_zero_is_static():
     cls = catalog_lookup("omni-oriented-2d")
     scene = random_scene(cls, 3, 4, seed=33)
