@@ -215,7 +215,7 @@ class PerspectiveClass(CameraClass):
     """
 
     focal_mode: str = "known"  # known | global | zoom
-    known_focal: float = 1.0
+    known_focal: ClassVar[float] = 1.0
     kind: ClassVar[str] = "perspective"
 
     @property

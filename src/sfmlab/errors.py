@@ -13,6 +13,7 @@ class SingularConfigurationError(SfmlabError, ValueError):
     """A point lies on (or too close to) the singular set of a camera."""
 
     def __init__(self, message, point_index=None, camera_index=None):
+        self.reason = message  # the message without the indices
         if point_index is not None or camera_index is not None:
             message = f"{message} (point {point_index}, camera {camera_index})"
         super().__init__(message)

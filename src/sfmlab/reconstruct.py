@@ -2,7 +2,7 @@
 
 The measurement map is invariant along the symmetry orbits, so before
 refinement ``g`` scene coordinates are pinned to select one representative
-per orbit: the anchor point's coordinates, the anchor camera's orientation
+per orbit: the anchor point's coordinates, the first camera's orientation
 block where the group rotates, and a scale-setting coordinate where the group
 dilates. A damped Gauss-Newton (Levenberg-Marquardt) loop then minimizes the
 wrapped reprojection residual over the free coordinates.
@@ -21,7 +21,6 @@ from .errors import DegenerateConfigurationError, InfeasibleCountError
 # evaluate_jet and jet_generators stay bound here although unused:
 # perfbench/tracing.py wraps this module's binding of each name.
 from .sfm import (
-    DEFAULT_FD_STEP,
     JetScene,
     Measurements,
     RankReport,
@@ -104,19 +103,18 @@ def _greedy_pins(G: np.ndarray, forced: list[int], pools: list[list[int]], g: in
     return chosen
 
 
-def gauge_fix(cls: CameraClass, template: Scene | JetScene, anchor_point: int = 0,
-              anchor_camera: int = 0) -> GaugeChart:
+def gauge_fix(cls: CameraClass, template: Scene | JetScene, anchor_point: int = 0) -> GaugeChart:
     """Pin ``g`` coordinates at their template values.
 
     In order: the anchor point's first ``d`` coordinates (its position or
-    motion anchor), the anchor camera's orientation block for groups
+    motion anchor), the first camera's orientation block for groups
     containing rotations, then rotation- and scale-setting coordinates until
     the pins span the orbit directions, preferring the anchor point's
     remaining motion coefficients, then the next point's first ``d``.
     """
     if template.cls.name != cls.name:
         raise ValueError("template class does not match")
-    if not 0 <= anchor_point < template.n or not 0 <= anchor_camera < template.m:
+    if not 0 <= anchor_point < template.n:
         raise ValueError("anchor out of range")
     G = generators(cls, template)
     pd, d = template.point_dim, cls.d
@@ -124,7 +122,7 @@ def gauge_fix(cls: CameraClass, template: Scene | JetScene, anchor_point: int = 
     forced = list(range(base, base + d))
     if cls.group in ("euclidean", "similarity"):
         rs = cls.rotation_slice
-        cam_base = pd * template.n + anchor_camera * cls.f
+        cam_base = pd * template.n
         forced += list(range(cam_base + rs.start, cam_base + rs.stop))
     next_base = pd * ((anchor_point + 1) % template.n)
     pools = [list(range(base + d, base + pd)),
@@ -135,19 +133,18 @@ def gauge_fix(cls: CameraClass, template: Scene | JetScene, anchor_point: int = 
     return GaugeChart(tuple(idx), vec[idx], template.dim)
 
 
-def gauge_fix_jet(js: JetScene, anchor_point: int = 0, anchor_camera: int = 0) -> GaugeChart:
+def gauge_fix_jet(js: JetScene) -> GaugeChart:
     """``gauge_fix`` with the class taken from the scene."""
-    return gauge_fix(js.cls, js, anchor_point, anchor_camera)
+    return gauge_fix(js.cls, js)
+
+
+GRADIENT_TOL = 1e-10  # converged when |J^T r| falls below this
+COST_DECREASE_TOL = 1e-14  # converged when a step lowers the cost by a smaller share
 
 
 @dataclass
 class SolveOptions:
     max_iterations: int = 500
-    gradient_tol: float = 1e-10
-    cost_decrease_tol: float = 1e-14
-    fd_step: float = DEFAULT_FD_STEP
-    initial_damping: float = 1e-3
-    max_damping: float = 1e12
 
 
 @dataclass(frozen=True)
@@ -163,27 +160,27 @@ class SolveReport:
     cost_history: tuple[float, ...]  # accepted costs, never increasing
 
 
-def _lm(residual, x0: np.ndarray, wrap: np.ndarray, opts: SolveOptions):
+def _lm(residual, x0: np.ndarray, wrap: np.ndarray, max_iterations: int):
     """Damped Gauss-Newton with identity damping: halve on acceptance,
     quadruple on rejection. Accepted steps never increase the cost."""
     x = x0.copy()
     r = residual(x)
     cost = float(r @ r)
     history = [cost]
-    damping = opts.initial_damping
+    damping = 1e-3
     converged = False
     grad_norm = float("inf")
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        J = fd_jacobian(residual, x, r.size, wrap, opts.fd_step)
+    for iterations in range(1, max_iterations + 1):
+        J = fd_jacobian(residual, x, r.size, wrap)
         grad = J.T @ r
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < opts.gradient_tol:
+        if grad_norm < GRADIENT_TOL:
             converged = True
             break
         JtJ = J.T @ J
         accepted = False
-        while damping <= opts.max_damping:
+        while damping <= 1e12:
             try:
                 delta = np.linalg.solve(JtJ + damping * np.eye(x.size), -grad)
             except np.linalg.LinAlgError:
@@ -198,13 +195,14 @@ def _lm(residual, x0: np.ndarray, wrap: np.ndarray, opts: SolveOptions):
                 history.append(cost)
                 damping = max(damping * 0.5, 1e-15)
                 accepted = True
-                if rel_drop < opts.cost_decrease_tol:
+                if rel_drop < COST_DECREASE_TOL:
                     converged = True
                 break
             damping *= 4.0
-        if not accepted or converged:
-            if accepted and converged:
-                grad_norm = float(np.linalg.norm(J.T @ r))
+        if not accepted:
+            break
+        if converged:
+            grad_norm = float(np.linalg.norm(J.T @ r))
             break
     return x, iterations, converged, grad_norm, tuple(history)
 
@@ -219,6 +217,8 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
     """
     if init.cls.name != cls.name:
         raise ValueError("init scene class does not match")
+    if measurements.cls.name != cls.name:
+        raise ValueError("measurements class does not match")
     if measurements.data.shape != (init.n, init.m, cls.s):
         raise ValueError("measurement grid does not match the init scene")
     rep = jet_feasible(init.point_dim, cls.f, cls.g, cls.h, cls.s, init.n, init.m)
@@ -227,7 +227,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
             f"{cls.name} with n={init.n}, m={init.m}: unknowns {rep.lhs} exceed "
             f"measurements plus symmetry {rep.rhs}"
         )
-    opts = options or SolveOptions()
+    max_iterations = (options or SolveOptions()).max_iterations
     gauge = gauge or gauge_fix(cls, init)
     target = measurements.data.ravel()
     wrap = output_wrap_mask(cls, init.n, init.m)
@@ -241,7 +241,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
         r[wrap] = geometry.wrap_angle(r[wrap])
         return r
 
-    x, iterations, converged, grad_norm, history = _lm(residual, base[free], wrap, opts)
+    x, iterations, converged, grad_norm, history = _lm(residual, base[free], wrap, max_iterations)
     vec = base.copy()
     vec[free] = x
     rmse = float(np.sqrt(history[-1] / target.size))
@@ -249,14 +249,15 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
                        history)
 
 
-def solve_jet(measurements: Measurements, init: JetScene,
-              options: SolveOptions | None = None, gauge: GaugeChart | None = None) -> SolveReport:
+def solve_jet(measurements: Measurements, init: JetScene) -> SolveReport:
     """``solve`` with the class taken from the scene."""
-    return solve(init.cls, measurements, init, options, gauge)
+    return solve(init.cls, measurements, init)
 
 
 def reprojection_rmse(scene: Scene | JetScene, measurements: Measurements) -> float:
     """Root-mean-square of the wrapped residuals over all measured values."""
+    if measurements.cls.name != scene.cls.name:
+        raise ValueError("measurements class does not match")
     pred = evaluate(scene)
     if pred.data.shape != measurements.data.shape:
         raise ValueError(
@@ -276,8 +277,7 @@ class LocalUniquenessReport:
     rank_report: RankReport
 
 
-def local_uniqueness(scene: Scene | JetScene, gauge: GaugeChart,
-                     tol: float | None = None) -> LocalUniquenessReport:
+def local_uniqueness(scene: Scene | JetScene, gauge: GaugeChart) -> LocalUniquenessReport:
     """Check that the gauge-fixed Jacobian has full column rank.
 
     Full rank means the fiber through the scene is discrete on the gauge
@@ -285,7 +285,7 @@ def local_uniqueness(scene: Scene | JetScene, gauge: GaugeChart,
     see."""
     J = jacobian(scene)
     free = ~gauge.mask
-    report = numerical_rank(J[:, free], rel_tol=tol)
+    report = numerical_rank(J[:, free])
     expected = int(np.count_nonzero(free))
     return LocalUniquenessReport(report.rank == expected, report.rank, expected, report)
 

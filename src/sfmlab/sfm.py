@@ -22,6 +22,8 @@ from .cameras import Camera, CameraClass
 from .errors import DegenerateConfigurationError, SingularConfigurationError
 
 DEFAULT_FD_STEP = 1e-6
+MAX_DRAWS = 100  # scenes a sampler draws before it gives up
+JET_OMEGA = 0.7  # angular velocity of every sampled circle jet
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -260,7 +262,7 @@ def evaluate(scene: Scene | JetScene) -> Measurements:
             data[:, j, :] = cam.project_points(camera, scene.globals_vec, scene.positions(j))
         except SingularConfigurationError as exc:
             raise SingularConfigurationError(
-                str(exc).split(" (point")[0], point_index=exc.point_index, camera_index=j
+                exc.reason, point_index=exc.point_index, camera_index=j
             ) from None
     return Measurements(scene.cls, data)
 
@@ -359,7 +361,7 @@ class GenericRankReport:
     best: RankReport  # report of the best trial (max rank, then widest gap)
 
 
-def _draw_scene(cls: CameraClass, m: int, seed, spread: float, box: float, max_tries: int,
+def _draw_scene(cls: CameraClass, m: int, seed, spread: float, box: float,
                 draw_points) -> Scene | JetScene:
     """Draw scenes until every camera keeps its margins from the positions it sees.
 
@@ -369,7 +371,7 @@ def _draw_scene(cls: CameraClass, m: int, seed, spread: float, box: float, max_t
     placement; ``box`` bounds omni camera centers.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         build = draw_points(rng)
         glob = np.array([rng.uniform(0.5, 2.0) * spread]) if cls.h else np.zeros(0)
         cams = tuple(Camera(cls, cls.place(rng, spread, box)) for _ in range(m))
@@ -378,12 +380,11 @@ def _draw_scene(cls: CameraClass, m: int, seed, spread: float, box: float, max_t
                for j, c in enumerate(scene.cams)):
             return scene
     raise DegenerateConfigurationError(
-        f"no non-singular {cls.name} scene found in {max_tries} draws"
+        f"no non-singular {cls.name} scene found in {MAX_DRAWS} draws"
     )
 
 
-def random_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0,
-                 max_tries: int = 100) -> Scene:
+def random_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0) -> Scene:
     """Deterministic generic scene with singularity margins enforced.
 
     Points are drawn in a box; omni cameras keep a minimum distance from all
@@ -398,11 +399,10 @@ def random_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0,
         points = rng.uniform(-spread, spread, size=(n, cls.d))
         return lambda cams, glob: Scene(cls, points, cams, glob)
 
-    return _draw_scene(cls, m, seed, spread, 1.6 * spread, max_tries, draw_points)
+    return _draw_scene(cls, m, seed, spread, 1.6 * spread, draw_points)
 
 
-def random_jet_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0,
-                     omega: float = 0.7, max_tries: int = 100) -> JetScene:
+def random_jet_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0) -> JetScene:
     """Deterministic circle-motion scene observed by planar cameras, with
     shared parameters, camera placement and margins as in ``random_scene``."""
     if cls.d != 2:
@@ -415,14 +415,13 @@ def random_jet_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0
         radii = rng.uniform(0.3, 0.8, size=n) * spread
         motion = np.column_stack([centers,
                                   radii * np.cos(angles), radii * np.sin(angles)])
-        return lambda cams, glob: JetScene(cls, "circle", motion, times, cams, glob, omega)
+        return lambda cams, glob: JetScene(cls, "circle", motion, times, cams, glob, JET_OMEGA)
 
-    return _draw_scene(cls, m, seed, spread, 1.8 * spread, max_tries, draw_points)
+    return _draw_scene(cls, m, seed, spread, 1.8 * spread, draw_points)
 
 
 def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 0,
-                 step: float = DEFAULT_FD_STEP, rel_tol: float | None = None,
-                 spread: float = 2.0) -> GenericRankReport:
+                 rel_tol: float | None = None) -> GenericRankReport:
     """Max numerical rank of the measurement Jacobian over random scenes.
 
     The rank can only drop on thin subsets of configuration space, so the max
@@ -431,8 +430,7 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     reports = [
-        numerical_rank(jacobian(random_scene(cls, n, m, seed=(seed, t), spread=spread), step=step),
-                       rel_tol=rel_tol)
+        numerical_rank(jacobian(random_scene(cls, n, m, seed=(seed, t))), rel_tol=rel_tol)
         for t in range(trials)
     ]
     ranks = tuple(r.rank for r in reports)
@@ -453,7 +451,7 @@ class KernelCheckReport:
         return float(np.max(self.ratios))
 
 
-def kernel_check(scene, tol: float = 1e-5, step: float = DEFAULT_FD_STEP) -> KernelCheckReport:
+def kernel_check(scene, tol: float = 1e-5) -> KernelCheckReport:
     """Verify that every symmetry generator is annihilated by the Jacobian.
 
     Checks |J v| <= tol * |J| * |v| for each generator column v; directions
@@ -461,7 +459,7 @@ def kernel_check(scene, tol: float = 1e-5, step: float = DEFAULT_FD_STEP) -> Ker
     """
     from .symmetry import generators
 
-    J = jacobian(scene, step=step)
+    J = jacobian(scene)
     G = generators(scene.cls, scene)
     jnorm = float(np.linalg.norm(J, 2))
     ratios = np.linalg.norm(J @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))

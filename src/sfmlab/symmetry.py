@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .cameras import Camera, CameraClass
 from .errors import DegenerateConfigurationError, GroupMismatchError
-from .sfm import JetScene, Scene
+from .sfm import DEFAULT_FD_STEP, JetScene, Scene
 
 _ORTHO_TOL = 1e-10
 
@@ -133,19 +133,19 @@ def _param_wrap_mask(scene) -> np.ndarray:
     return mask
 
 
-def generators(cls: CameraClass, scene: Scene | JetScene, eps: float = 1e-6) -> np.ndarray:
+def generators(cls: CameraClass, scene: Scene | JetScene) -> np.ndarray:
     """Tangent vectors of the symmetry orbits at ``scene``, one column per
     group generator (translations, rotations, scaling), shape (dim, g)."""
     if scene.cls.name != cls.name:
         raise ValueError("scene class does not match")
     wrap = _param_wrap_mask(scene)
-    plus = _one_parameter_elements(cls.group, cls.d, eps)
-    minus = _one_parameter_elements(cls.group, cls.d, -eps)
+    plus = _one_parameter_elements(cls.group, cls.d, DEFAULT_FD_STEP)
+    minus = _one_parameter_elements(cls.group, cls.d, -DEFAULT_FD_STEP)
     cols = []
     for gp, gm in zip(plus, minus):
         diff = act_scene(gp, scene).to_vector() - act_scene(gm, scene).to_vector()
         diff[wrap] = geometry.wrap_angle(diff[wrap])
-        cols.append(diff / (2.0 * eps))
+        cols.append(diff / (2.0 * DEFAULT_FD_STEP))
     G = np.column_stack(cols)
     if G.shape != (scene.dim, cls.g):
         raise AssertionError("generator count does not match the group dimension")
@@ -154,9 +154,9 @@ def generators(cls: CameraClass, scene: Scene | JetScene, eps: float = 1e-6) -> 
     return G
 
 
-def jet_generators(js: JetScene, eps: float = 1e-6) -> np.ndarray:
+def jet_generators(js: JetScene) -> np.ndarray:
     """``generators`` with the class taken from the scene."""
-    return generators(js.cls, js, eps)
+    return generators(js.cls, js)
 
 
 def _matched_positions(scene) -> np.ndarray:

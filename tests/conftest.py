@@ -1,7 +1,14 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sfmlab.cameras import catalog
+
+# `python -m sfmlab` subprocesses import the same checkout as the tests
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 ALL_CLASS_NAMES = [c.name for c in catalog()]
 

@@ -182,7 +182,8 @@ def test_module_invocation_smoke():
 
 @pytest.mark.parametrize("case", ["camera entry not an object", "measurements without m",
                                   "non-finite point", "measurements n a list",
-                                  "camera params an object", "scene globals an object"])
+                                  "camera params an object", "scene globals an object",
+                                  "measurements of another class"])
 def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
     scene = random_scene(catalog_lookup("omni-oriented-2d"), 3, 3, seed=4)
     scene_doc = io.scene_to_doc(scene)
@@ -197,6 +198,8 @@ def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
         meas_doc["n"] = [1]
     elif case == "camera params an object":
         scene_doc["cameras"][0]["params"] = {"a": 1}
+    elif case == "measurements of another class":
+        meas_doc["class"] = "affine-ortho-2d"  # same s, so the grid shape matches
     else:
         scene_doc["globals"] = {"a": 1}
     sp, mp = tmp_path / "s.json", tmp_path / "m.json"

@@ -89,6 +89,17 @@ def test_reprojection_rmse_shape_mismatch():
         reprojection_rmse(a, evaluate(b))
 
 
+def test_measurements_of_another_class_are_rejected():
+    """Measurements of the same shape but another class are not fitted."""
+    meas = evaluate(random_scene(catalog_lookup("omni-oriented-2d"), 4, 3, seed=1))
+    cls = catalog_lookup("affine-ortho-2d")
+    init = perturb_scene(random_scene(cls, 4, 3, seed=1), 0.05, seed=2)
+    with pytest.raises(ValueError, match="measurements class does not match"):
+        solve(cls, meas, init)
+    with pytest.raises(ValueError, match="measurements class does not match"):
+        reprojection_rmse(init, meas)
+
+
 @pytest.mark.parametrize("name,n,m", [
     ("omni-oriented-2d", 3, 3),
     ("affine-ortho-3d", 3, 3),

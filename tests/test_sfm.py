@@ -47,6 +47,7 @@ def test_evaluate_reports_singular_pair():
     with pytest.raises(SingularConfigurationError) as err:
         evaluate(scene)
     assert err.value.point_index == 1 and err.value.camera_index == 1
+    assert str(err.value) == "point coincides with an omni camera center (point 1, camera 1)"
 
 
 def test_evaluate_invariant_under_group_action():
