@@ -30,7 +30,6 @@ from .sfm import (
     fd_jacobian,
     jacobian,
     numerical_rank,
-    output_wrap_mask,
 )
 from .symmetry import generators, jet_generators  # noqa: F401
 
@@ -49,6 +48,8 @@ class GaugeChart:
             raise ValueError("one pinned value per pinned index required")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("pinned indices must be distinct")
+        if not all(0 <= i < self.dim for i in self.indices):
+            raise ValueError("pinned indices must lie in [0, dim)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -117,16 +118,12 @@ def gauge_fix(cls: CameraClass, template: Scene | JetScene, anchor_point: int = 
     if not 0 <= anchor_point < template.n:
         raise ValueError("anchor out of range")
     G = generators(cls, template)
-    pd, d = template.point_dim, cls.d
-    base = pd * anchor_point
-    forced = list(range(base, base + d))
+    points, cams = template.columns()
+    forced = points[anchor_point, :cls.d].tolist()
     if cls.group in ("euclidean", "similarity"):
-        rs = cls.rotation_slice
-        cam_base = pd * template.n
-        forced += list(range(cam_base + rs.start, cam_base + rs.stop))
-    next_base = pd * ((anchor_point + 1) % template.n)
-    pools = [list(range(base + d, base + pd)),
-             list(range(next_base, next_base + d)),
+        forced += cams[0, cls.rotation_slice].tolist()
+    pools = [points[anchor_point, cls.d:].tolist(),
+             points[(anchor_point + 1) % template.n, :cls.d].tolist(),
              list(range(template.dim))]
     idx = _greedy_pins(G, forced, pools, cls.g)
     vec = template.to_vector()
@@ -229,8 +226,10 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
         )
     max_iterations = (options or SolveOptions()).max_iterations
     gauge = gauge or gauge_fix(cls, init)
+    if gauge.dim != init.dim:
+        raise ValueError("gauge does not match the scene")
     target = measurements.data.ravel()
-    wrap = output_wrap_mask(cls, init.n, init.m)
+    wrap = init.output_angle_mask
     free = ~gauge.mask
     base = gauge.clamp(init.to_vector())
 
@@ -264,7 +263,7 @@ def reprojection_rmse(scene: Scene | JetScene, measurements: Measurements) -> fl
             f"shape mismatch: scene yields {pred.data.shape}, measurements {measurements.data.shape}"
         )
     r = pred.flat() - measurements.flat()
-    wrap = output_wrap_mask(scene.cls, scene.n, scene.m)
+    wrap = scene.output_angle_mask
     r[wrap] = geometry.wrap_angle(r[wrap])
     return float(np.sqrt(np.mean(r * r)))
 
@@ -283,6 +282,8 @@ def local_uniqueness(scene: Scene | JetScene, gauge: GaugeChart) -> LocalUniquen
     Full rank means the fiber through the scene is discrete on the gauge
     slice; a deficit signals a continuous deformation family the data cannot
     see."""
+    if gauge.dim != scene.dim:
+        raise ValueError("gauge does not match the scene")
     J = jacobian(scene)
     free = ~gauge.mask
     report = numerical_rank(J[:, free])

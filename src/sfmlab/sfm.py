@@ -89,6 +89,27 @@ class _SceneLayout:
         parts.append(self.globals_vec)
         return np.concatenate(parts)
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate indices by owner: ``points`` of shape (n, point_dim) and
+        ``cams`` of shape (m, f); the h shared parameters come last."""
+        points = np.arange(self.n * self.point_dim).reshape(self.n, self.point_dim)
+        cams = points.size + np.arange(self.m * self.cls.f).reshape(self.m, self.cls.f)
+        return points, cams
+
+    @property
+    def angle_mask(self) -> np.ndarray:
+        """Coordinates that are angles and wrap at +-pi."""
+        mask = np.zeros(self.dim, dtype=bool)
+        mask[self.columns()[1][:, list(self.cls.angular_param_indices)]] = True
+        return mask
+
+    @property
+    def output_angle_mask(self) -> np.ndarray:
+        """Entries of the flattened measurement vector that are angles."""
+        mask = np.zeros(self.cls.s, dtype=bool)
+        mask[list(self.cls.angular_output_indices)] = True
+        return np.tile(mask, self.n * self.m)
+
 
 @dataclass(frozen=True)
 class Scene(_SceneLayout):
@@ -270,14 +291,6 @@ def evaluate(scene: Scene | JetScene) -> Measurements:
 evaluate_jet = evaluate
 
 
-def output_wrap_mask(cls: CameraClass, n: int, m: int) -> np.ndarray:
-    """Boolean mask over the flattened measurement vector marking angle values."""
-    mask = np.zeros(cls.s, dtype=bool)
-    for idx in cls.angular_output_indices:
-        mask[idx] = True
-    return np.tile(mask, n * m)
-
-
 def fd_jacobian(fn, x: np.ndarray, rows: int, wrap: np.ndarray,
                 step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central finite differences of ``fn`` at ``x``, shape (rows, x.size).
@@ -307,7 +320,7 @@ def jacobian(scene: Scene | JetScene, step: float = DEFAULT_FD_STEP) -> np.ndarr
         raise ValueError("step must be positive")
     return fd_jacobian(lambda v: evaluate(scene.with_vector(v)).flat(), scene.to_vector(),
                        scene.cls.s * scene.n * scene.m,
-                       output_wrap_mask(scene.cls, scene.n, scene.m), step)
+                       scene.output_angle_mask, step)
 
 
 @dataclass(frozen=True)

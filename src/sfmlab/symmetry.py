@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .cameras import Camera, CameraClass
 from .errors import DegenerateConfigurationError, GroupMismatchError
-from .sfm import DEFAULT_FD_STEP, JetScene, Scene
+from .sfm import JetScene, Scene, fd_jacobian
 
 _ORTHO_TOL = 1e-10
 
@@ -35,6 +35,8 @@ class GroupElement:
         v = np.asarray(self.translation, dtype=float).reshape(-1)
         if R.shape != (v.size, v.size):
             raise ValueError("rotation and translation dimensions disagree")
+        if not (np.isfinite(self.scale) and np.isfinite(R).all() and np.isfinite(v).all()):
+            raise ValueError("scale, rotation and translation must be finite")
         if np.max(np.abs(R.T @ R - np.eye(v.size))) > _ORTHO_TOL or np.linalg.det(R) < 0:
             raise ValueError("rotation must be orthogonal with determinant +1")
         if self.scale <= 0:
@@ -107,48 +109,27 @@ def random_element(group: str, d: int, seed) -> GroupElement:
     return GroupElement(lam, R, v)
 
 
-def _one_parameter_elements(group: str, d: int, t: float) -> list[GroupElement]:
-    """Values at parameter t of each one-parameter subgroup, fixed order:
-    d translations, then rotations, then one scaling."""
-    out = [GroupElement(1.0, np.eye(d), t * e) for e in np.eye(d)]
-    if group in ("euclidean", "similarity"):
-        if d == 2:
-            out.append(GroupElement(1.0, geometry.rot2(t), np.zeros(2)))
-        else:
-            for axis in np.eye(3):
-                out.append(GroupElement(1.0, geometry.rot3(t * axis), np.zeros(3)))
-    if group in ("dilation", "similarity"):
-        out.append(GroupElement(float(np.exp(t)), np.eye(d), np.zeros(d)))
-    return out
-
-
-def _param_wrap_mask(scene) -> np.ndarray:
-    """Mask over the scene coordinate vector marking angle-valued entries."""
-    cls = scene.cls
-    point_block = scene.point_dim * scene.n
-    mask = np.zeros(scene.dim, dtype=bool)
-    for j in range(scene.m):
-        for idx in cls.angular_param_indices:
-            mask[point_block + j * cls.f + idx] = True
-    return mask
+def _element(group: str, d: int, t: np.ndarray) -> GroupElement:
+    """Group element with coordinates ``t``: d translations, then the
+    rotation chart where the group rotates, then the log of the scale where
+    it scales."""
+    rot = d * (d - 1) // 2 if group in ("euclidean", "similarity") else 0
+    scales = group in ("dilation", "similarity")
+    if t.size != d + rot + scales:
+        raise AssertionError("generator count does not match the group dimension")
+    coords = t[d : d + rot]
+    R = geometry.rotation_matrix(d, coords) if np.any(coords) else np.eye(d)
+    return GroupElement(float(np.exp(t[-1])) if scales else 1.0, R, t[:d])
 
 
 def generators(cls: CameraClass, scene: Scene | JetScene) -> np.ndarray:
     """Tangent vectors of the symmetry orbits at ``scene``, one column per
-    group generator (translations, rotations, scaling), shape (dim, g)."""
+    group generator (translations, rotations, scaling), shape (dim, g): the
+    finite-difference Jacobian of the group action at the identity."""
     if scene.cls.name != cls.name:
         raise ValueError("scene class does not match")
-    wrap = _param_wrap_mask(scene)
-    plus = _one_parameter_elements(cls.group, cls.d, DEFAULT_FD_STEP)
-    minus = _one_parameter_elements(cls.group, cls.d, -DEFAULT_FD_STEP)
-    cols = []
-    for gp, gm in zip(plus, minus):
-        diff = act_scene(gp, scene).to_vector() - act_scene(gm, scene).to_vector()
-        diff[wrap] = geometry.wrap_angle(diff[wrap])
-        cols.append(diff / (2.0 * DEFAULT_FD_STEP))
-    G = np.column_stack(cols)
-    if G.shape != (scene.dim, cls.g):
-        raise AssertionError("generator count does not match the group dimension")
+    G = fd_jacobian(lambda t: act_scene(_element(cls.group, cls.d, t), scene).to_vector(),
+                    np.zeros(cls.g), scene.dim, scene.angle_mask)
     if not np.all(np.isfinite(G)):
         raise DegenerateConfigurationError("generators undefined at a singular scene")
     return G

@@ -6,6 +6,7 @@ import pytest
 from sfmlab.cameras import Camera, catalog_lookup
 from sfmlab.errors import InfeasibleCountError
 from sfmlab.reconstruct import (
+    GaugeChart,
     SolveOptions,
     gauge_fix,
     gauge_fix_jet,
@@ -98,6 +99,20 @@ def test_measurements_of_another_class_are_rejected():
         solve(cls, meas, init)
     with pytest.raises(ValueError, match="measurements class does not match"):
         reprojection_rmse(init, meas)
+
+
+def test_gauge_of_another_scene_size_is_rejected():
+    """A gauge pins coordinates of one scene size; it must not be used on another."""
+    cls = catalog_lookup("omni-oriented-2d")
+    a = random_scene(cls, 3, 3, seed=1)
+    other = gauge_fix(cls, random_scene(cls, 4, 3, seed=1))
+    with pytest.raises(ValueError, match="gauge does not match the scene"):
+        solve(cls, evaluate(a), a, gauge=other)
+    with pytest.raises(ValueError, match="gauge does not match the scene"):
+        local_uniqueness(a, other)
+    for indices, dim in [((-1,), 4), ((0, 99), 10)]:
+        with pytest.raises(ValueError, match="dim"):
+            GaugeChart(indices, [0.0] * len(indices), dim)
 
 
 @pytest.mark.parametrize("name,n,m", [

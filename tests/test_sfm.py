@@ -237,12 +237,43 @@ def test_jet_kernel_check_accepts_declared_generators():
     assert rep.passed and rep.ratios.shape == (cls.g,)
 
 
-def test_generic_rank_threaded_matches_sequential(monkeypatch):
+def test_generic_rank_is_deterministic():
     cls = catalog_lookup("omni-oriented-2d")
     seq = generic_rank(cls, 3, 3, trials=4, seed=5)
-    monkeypatch.setenv("SFMLAB_THREADS", "4")
     par = generic_rank(cls, 3, 3, trials=4, seed=5)
     assert seq.trial_ranks == par.trial_ranks and seq.rank == par.rank
+
+
+def _layout_scene(kind):
+    if kind == "circle":
+        return random_jet_scene(catalog_lookup("omni-2d"), 4, 3, seed=70)
+    if kind == "taylor":  # order 2, with a shared parameter
+        base = random_scene(catalog_lookup("perspective-2d"), 4, 3, seed=71)
+        motion = np.random.default_rng(72).normal(size=(4, 3, 2))
+        return JetScene(base.cls, "taylor", motion, np.array([0.0, 0.5, 1.0]), base.cams,
+                        base.globals_vec)
+    return random_scene(catalog_lookup(kind), 3, 3, seed=73)
+
+
+@pytest.mark.parametrize("kind", [c.name for c in catalog()] + ["circle", "taylor"])
+def test_scene_layout_columns_and_angle_masks(kind):
+    scene = _layout_scene(kind)
+    cls = scene.cls
+    points, cams = scene.columns()
+    assert points.shape == (scene.n, scene.point_dim) and cams.shape == (scene.m, cls.f)
+    assert np.array_equal(np.concatenate([points.ravel(), cams.ravel()]),
+                          np.arange(scene.dim - cls.h))
+    vec = scene.to_vector()
+    for i in range(scene.n):
+        assert np.array_equal(vec[points[i]], scene.coefficients[i].ravel())
+    for j, camera in enumerate(scene.cams):
+        assert np.array_equal(vec[cams[j]], camera.params)
+    angles = np.zeros(scene.dim, dtype=bool)
+    angles[cams[:, list(cls.angular_param_indices)]] = True
+    assert np.array_equal(scene.angle_mask, angles)
+    outputs = np.zeros((scene.n, scene.m, cls.s), dtype=bool)
+    outputs[:, :, list(cls.angular_output_indices)] = True
+    assert np.array_equal(scene.output_angle_mask.reshape(scene.n, scene.m, cls.s), outputs)
 
 
 def _with_bad_entry(values, k, bad):
