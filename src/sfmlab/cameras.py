@@ -9,12 +9,15 @@ idempotent map of ambient space into itself.
 Each kind of camera is one ``CameraClass`` subclass: ``AffineClass``,
 ``OmniClass``, ``PerspectiveClass`` and ``LineClass``. A subclass holds the
 kind's parameter slices, its charts, its group action, its random sampling
-and scene placement, and its singular set. The module-level functions
-validate their arguments and delegate to the camera's class.
+and scene placement, and its singular set. ``project`` and ``margins_ok``
+take the parameters of all ``m`` cameras of a scene as one (m, f) array and
+work on every camera at once; the module-level functions validate their
+arguments and delegate to the camera's class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -35,11 +38,12 @@ class CameraClass:
     parameter count, ``g`` symmetry group dimension, ``h`` number of shared
     scene-level parameters.
 
-    Subclasses implement ``project(p, glob, pts)`` (chart coordinates of an
-    (n, d) array, shape (n, s)), ``embed(p, glob, r)``, ``act(p, scale, R,
+    Subclasses implement ``project(P, glob, X)`` (chart coordinates of the
+    positions X of shape (m, n, d) under the cameras with parameter rows P of
+    shape (m, f), shape (m, n, s)), ``embed(p, glob, r)``, ``act(p, scale, R,
     v)`` (the parameters of the camera moved by ``x -> scale * R x + v``) and
-    ``sample(rng, spread)``, where ``p`` is a parameter vector and ``glob``
-    the scene-level parameters.
+    ``sample(rng, spread)``, where ``p`` is one camera's parameter vector and
+    ``glob`` the scene-level parameters.
     """
 
     name: str
@@ -67,8 +71,8 @@ class CameraClass:
         rs = self.rotation_slice
         return (rs.start,) if self.d == 2 and rs is not None else ()
 
-    def rotation(self, p: np.ndarray) -> np.ndarray:
-        return geometry.rotation_matrix(self.d, p[self.rotation_slice])
+    def rotation(self, p: np.ndarray) -> np.ndarray:  # (d, d), or (m, d, d) for (m, f)
+        return geometry.rotation_matrix(self.d, p[..., self.rotation_slice])
 
     def _turned(self, p: np.ndarray, R: np.ndarray) -> np.ndarray:
         """Orientation coordinates of the camera after rotating the world by ``R``."""
@@ -79,10 +83,9 @@ class CameraClass:
         ``box`` is the half-width of the box that omni centers are drawn from."""
         return self.sample(rng, spread)
 
-    def margins_ok(self, p: np.ndarray, glob: np.ndarray, positions: np.ndarray,
-                   spread: float) -> bool:
-        """Whether every row of ``positions`` keeps the sampling margins from
-        this camera's singular set and chart poles."""
+    def margins_ok(self, P: np.ndarray, glob: np.ndarray, X: np.ndarray, spread: float) -> bool:
+        """Whether every camera's positions (row j of X for camera row j of P)
+        keep the sampling margins from its singular set and chart poles."""
         return True
 
     def singular_margin(self, p: np.ndarray, glob: np.ndarray, point: np.ndarray) -> float:
@@ -101,8 +104,8 @@ class AffineClass(CameraClass):
     def rotation_slice(self) -> slice:
         return slice(0, self.rot_dim)
 
-    def project(self, p, glob, pts):
-        return pts @ self.rotation(p).T[:, : self.s] + p[self.rot_dim:]
+    def project(self, P, glob, X):
+        return X @ self.rotation(P).swapaxes(-1, -2)[..., : self.s] + P[:, None, self.rot_dim:]
 
     def embed(self, p, glob, r):
         lifted = np.zeros(self.d)
@@ -141,23 +144,19 @@ class OmniClass(CameraClass):
     def position_slice(self) -> slice:
         return slice(0, self.d)
 
-    def project(self, p, glob, pts):
-        delta = pts - p[: self.d]
-        dist = np.linalg.norm(delta, axis=1)
-        bad = np.flatnonzero(dist < SINGULAR_CUTOFF)
-        if bad.size:
-            raise SingularConfigurationError(
-                "point coincides with an omni camera center", point_index=int(bad[0])
-            )
+    def project(self, P, glob, X):
+        delta = X - P[:, None, : self.d]
+        dist = np.linalg.norm(delta, axis=-1)
+        _check_regular(dist < SINGULAR_CUTOFF, "point coincides with an omni camera center")
         if self.d == 2:
-            theta = np.arctan2(delta[:, 1], delta[:, 0])
+            theta = np.arctan2(delta[..., 1], delta[..., 0])
             if not self.oriented:
-                theta -= p[2]
-            return geometry.wrap_angle(theta)[:, None]  # chart is (-pi, pi]
-        frame = delta if self.oriented else delta @ self.rotation(p).T
-        theta = geometry.wrap_angle(np.arctan2(frame[:, 1], frame[:, 0]))
-        phi = np.arccos(np.clip(frame[:, 2] / dist, -1.0, 1.0))
-        return np.column_stack([theta, phi])
+                theta -= P[:, 2:3]
+            return geometry.wrap_angle(theta)[..., None]  # chart is (-pi, pi]
+        frame = delta if self.oriented else delta @ self.rotation(P).swapaxes(-1, -2)
+        theta = geometry.wrap_angle(np.arctan2(frame[..., 1], frame[..., 0]))
+        phi = np.arccos(np.clip(frame[..., 2] / dist, -1.0, 1.0))
+        return np.stack([theta, phi], -1)
 
     def embed(self, p, glob, r):
         if abs(r[0]) > np.pi + 1e-12:
@@ -188,14 +187,14 @@ class OmniClass(CameraClass):
     def place(self, rng, spread, box):
         return self.sample(rng, box)
 
-    def margins_ok(self, p, glob, positions, spread):
+    def margins_ok(self, P, glob, X, spread):
         """Positions at least 0.25 * spread from the center and, in 3D, at
         least ``POLE_MARGIN`` away from the poles of the polar angle."""
-        if np.linalg.norm(positions - p[: self.d], axis=1).min() < 0.25 * spread:
+        if np.linalg.norm(X - P[:, None, : self.d], axis=-1).min() < 0.25 * spread:
             return False
         if self.d == 2:
             return True
-        phi = self.project(p, glob, positions)[:, 1]
+        phi = self.project(P, glob, X)[..., 1]
         return bool(np.minimum(phi, np.pi - phi).min() >= POLE_MARGIN)
 
     def singular_margin(self, p, glob, point):
@@ -230,33 +229,29 @@ class PerspectiveClass(CameraClass):
     def focal_index(self) -> int | None:
         return self.f - 1 if self.focal_mode == "zoom" else None
 
-    def focal(self, p, glob) -> float:
+    def focal(self, P, glob):
+        """The focal length, or a column (m, 1) of them for zoom cameras."""
         if self.focal_mode == "known":
             return self.known_focal
         if self.focal_mode == "global":
             return float(glob[0])
-        return float(p[self.focal_index])
+        return P[:, self.focal_index, None]
 
-    def _depths(self, p, glob, pts):
-        """Signed distances of the points in front of the projection-center plane."""
-        return ((pts - p[: self.d]) @ self.rotation(p).T)[:, self.d - 1] + self.focal(p, glob)
+    def _frame(self, P, glob, X):
+        """Camera-frame coordinates of the positions, and their signed
+        distances in front of the projection-center plane."""
+        Y = (X - P[:, None, : self.d]) @ self.rotation(P).swapaxes(-1, -2)
+        return Y, Y[..., self.d - 1] + self.focal(P, glob)
 
-    def project(self, p, glob, pts):
-        F = self.focal(p, glob)
-        X = (pts - p[: self.d]) @ self.rotation(p).T
-        den = X[:, self.d - 1] + F
-        bad = np.flatnonzero(np.abs(den) < SINGULAR_CUTOFF)
-        if bad.size:
-            raise SingularConfigurationError(
-                "point lies on the projection-center plane", point_index=int(bad[0])
-            )
-        scale = 1.0 if self.focal_mode == "zoom" else F
-        return scale * X[:, : self.s] / den[:, None]
+    def project(self, P, glob, X):
+        Y, den = self._frame(P, glob, X)
+        _check_regular(np.abs(den) < SINGULAR_CUTOFF, "point lies on the projection-center plane")
+        scale = 1.0 if self.focal_mode == "zoom" else self.focal(P, glob)
+        return scale * Y[..., : self.s] / den[..., None]
 
     def embed(self, p, glob, r):
-        F = self.focal(p, glob)
         lifted = np.zeros(self.d)
-        lifted[: self.s] = F * r if self.focal_mode == "zoom" else r
+        lifted[: self.s] = p[self.focal_index] * r if self.focal_mode == "zoom" else r
         return p[: self.d] + self.rotation(p).T @ lifted
 
     def act(self, p, scale, R, v):
@@ -284,12 +279,12 @@ class PerspectiveClass(CameraClass):
                                       roll=rng.uniform(-np.pi, np.pi) if self.d == 3 else 0.0)
         return self._with_focal([pos, geometry.rotation_log(self.d, R)], rng, spread)
 
-    def margins_ok(self, p, glob, positions, spread):
+    def margins_ok(self, P, glob, X, spread):
         """Positions at least 0.5 in front of the projection-center plane."""
-        return bool(self._depths(p, glob, positions).min() >= 0.5)
+        return bool(self._frame(P, glob, X)[1].min() >= 0.5)
 
     def singular_margin(self, p, glob, point):
-        return float(abs(self._depths(p, glob, point[None, :])[0]))
+        return float(abs(self._frame(p[None], glob, point[None, None])[1][0, 0]))
 
 
 @dataclass(frozen=True)
@@ -303,11 +298,11 @@ class LineClass(CameraClass):
     rotation_slice: ClassVar[slice] = slice(0, 2)  # the direction chart
     angular_param_indices: ClassVar[tuple[int, ...]] = (0,)  # azimuth of the direction
 
-    def direction(self, p) -> np.ndarray:
-        return geometry.unit_from_angles(p[0], p[1])
+    def direction(self, p) -> np.ndarray:  # (3,), or (m, 3) for (m, f)
+        return geometry.unit_from_angles(p[..., 0], p[..., 1])
 
-    def project(self, p, glob, pts):
-        return (pts @ self.direction(p) - p[2])[:, None]
+    def project(self, P, glob, X):
+        return X @ self.direction(P)[:, :, None] - P[:, None, 2:3]
 
     def embed(self, p, glob, r):
         return (p[2] + r[0]) * self.direction(p)
@@ -343,11 +338,6 @@ class Camera:
             raise ValueError("camera parameters must be finite")
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
-
-    @property
-    def position(self) -> np.ndarray | None:
-        sl = self.cls.position_slice
-        return None if sl is None else self.params[sl]
 
 
 _CATALOG: tuple[CameraClass, ...] = (
@@ -401,22 +391,31 @@ def catalog_lookup(name: str) -> CameraClass:
         raise UnknownClassError(f"unknown camera class {name!r}; known: {known}") from None
 
 
-def _as_globals(cls: CameraClass, globals_vec) -> np.ndarray:
-    if globals_vec is None:
-        if cls.h:
-            raise ValueError(f"{cls.name} requires {cls.h} scene-level parameter(s)")
-        return np.zeros(0)
-    g = np.asarray(globals_vec, dtype=float).reshape(-1)
+def checked_globals(cls: CameraClass, globals_vec) -> np.ndarray:
+    """The ``h`` shared scene-level parameters of ``cls``; None means none."""
+    g = np.zeros(0) if globals_vec is None else np.asarray(globals_vec, dtype=float).reshape(-1)
     if g.size != cls.h:
         raise ValueError(f"{cls.name} expects {cls.h} scene-level parameter(s), got {g.size}")
+    if not np.isfinite(g).all():
+        raise ValueError("scene-level parameters must be finite")
     return g
+
+
+def _check_regular(bad: np.ndarray, reason: str) -> None:
+    """Raise for the first True entry of an (m, n) mask, in camera-major order."""
+    if bad.any():
+        j, i = np.argwhere(bad)[0]
+        raise SingularConfigurationError(reason, point_index=int(i), camera_index=int(j))
 
 
 def project_points(camera: Camera, globals_vec, points: np.ndarray) -> np.ndarray:
     """Chart coordinates of several points under one camera, shape (n, s)."""
     cls = camera.cls
     pts = np.asarray(points, dtype=float).reshape(-1, cls.d)
-    return cls.project(camera.params, _as_globals(cls, globals_vec), pts)
+    try:
+        return cls.project(camera.params[None], checked_globals(cls, globals_vec), pts[None])[0]
+    except SingularConfigurationError as exc:  # a lone camera has no index
+        raise SingularConfigurationError(exc.reason, point_index=exc.point_index) from None
 
 
 def project(camera: Camera, globals_vec, point) -> np.ndarray:
@@ -432,7 +431,7 @@ def embed(camera: Camera, globals_vec, r) -> np.ndarray:
         raise ChartRangeError(f"{cls.name} chart has {cls.s} coordinates, got {r.size}")
     if not np.all(np.isfinite(r)):
         raise ChartRangeError("chart coordinates must be finite")
-    return cls.embed(camera.params, _as_globals(cls, globals_vec), r)
+    return cls.embed(camera.params, checked_globals(cls, globals_vec), r)
 
 
 def camera_map(camera: Camera, globals_vec, point) -> np.ndarray:
@@ -443,7 +442,7 @@ def camera_map(camera: Camera, globals_vec, point) -> np.ndarray:
 def singular_margin(camera: Camera, globals_vec, point) -> float:
     """Distance from ``point`` to the camera's singular set (inf if none)."""
     cls = camera.cls
-    return cls.singular_margin(camera.params, _as_globals(cls, globals_vec),
+    return cls.singular_margin(camera.params, checked_globals(cls, globals_vec),
                                np.asarray(point, dtype=float))
 
 
@@ -451,6 +450,6 @@ def random_camera(cls: CameraClass, seed, spread: float = 2.0) -> Camera:
     """Deterministic random camera: positions in [-spread, spread]^d,
     rotations uniform in normalized exponential coordinates, focal lengths
     in [0.5, 2] * spread."""
-    if spread <= 0:
-        raise ValueError("spread must be positive")
+    if not 0 < spread < math.inf:
+        raise ValueError("spread must be a positive finite number")
     return Camera(cls, cls.sample(np.random.default_rng(seed), spread))

@@ -14,8 +14,10 @@ class SingularConfigurationError(SfmlabError, ValueError):
 
     def __init__(self, message, point_index=None, camera_index=None):
         self.reason = message  # the message without the indices
-        if point_index is not None or camera_index is not None:
-            message = f"{message} (point {point_index}, camera {camera_index})"
+        known = ", ".join(f"{what} {index}" for what, index in
+                          (("point", point_index), ("camera", camera_index)) if index is not None)
+        if known:
+            message = f"{message} ({known})"
         super().__init__(message)
         self.point_index = point_index
         self.camera_index = camera_index

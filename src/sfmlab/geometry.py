@@ -16,9 +16,10 @@ def wrap_angle(theta):
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), TAU)
 
 
-def rot2(theta: float) -> np.ndarray:
+def rot2(theta) -> np.ndarray:
+    """Rotation by ``theta``, shape (2, 2), or a stack of them for an array of angles."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([c, -s, s, c], -1).reshape(np.shape(theta) + (2, 2))
 
 
 def rot2_angle(R: np.ndarray) -> float:
@@ -26,22 +27,23 @@ def rot2_angle(R: np.ndarray) -> float:
 
 
 def hat3(w) -> np.ndarray:
-    wx, wy, wz = w
-    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+    """Cross-product matrices of 3-vectors (..., 3), shape (..., 3, 3)."""
+    w = np.asarray(w, dtype=float)
+    K = np.zeros(w.shape[:-1] + (9,))
+    K[..., [7, 2, 3]], K[..., [5, 6, 1]] = w, -w  # row-major slots of +w and -w
+    return K.reshape(w.shape[:-1] + (3, 3))
 
 
 def rot3(rho) -> np.ndarray:
-    """Rodrigues map from axis-angle coordinates to a rotation matrix."""
+    """Rodrigues map from axis-angle coordinates (..., 3) to rotations (..., 3, 3)."""
     rho = np.asarray(rho, dtype=float)
-    angle = float(np.linalg.norm(rho))
+    angle = np.sqrt((rho[..., None, :] @ rho[..., :, None])[..., 0, 0])
     K = hat3(rho)
-    if angle < 1e-8:
-        a2 = angle * angle
-        A = 1.0 - a2 / 6.0
-        B = 0.5 - a2 / 24.0
-    else:
-        A = np.sin(angle) / angle
-        B = (1.0 - np.cos(angle)) / (angle * angle)
+    small = angle < 1e-8
+    a2 = angle * angle
+    safe = np.where(small, 1.0, angle)  # keeps the unused branch free of 0/0
+    A = np.where(small, 1.0 - a2 / 6.0, np.sin(angle) / safe)[..., None, None]
+    B = np.where(small, 0.5 - a2 / 24.0, (1.0 - np.cos(angle)) / (safe * safe))[..., None, None]
     return np.eye(3) + A * K + B * (K @ K)
 
 
@@ -80,9 +82,10 @@ def rot3_log(R: np.ndarray) -> np.ndarray:
 
 
 def rotation_matrix(d: int, coords) -> np.ndarray:
-    if d == 2:
-        return rot2(float(np.asarray(coords).reshape(())))
-    return rot3(coords)
+    """Rotations with exponential coordinates of shape (..., 1) in the plane or
+    (..., 3) in space, shape (..., d, d)."""
+    coords = np.asarray(coords, dtype=float)
+    return rot2(coords[..., 0]) if d == 2 else rot3(coords)
 
 
 def rotation_log(d: int, R: np.ndarray):
@@ -91,10 +94,10 @@ def rotation_log(d: int, R: np.ndarray):
     return rot3_log(R)
 
 
-def unit_from_angles(theta: float, phi: float) -> np.ndarray:
-    """Unit vector with azimuth theta and polar angle phi (phi = 0 at +z)."""
+def unit_from_angles(theta, phi) -> np.ndarray:
+    """Unit vectors (..., 3) with azimuths theta and polar angles phi (0 at +z)."""
     sp = np.sin(phi)
-    return np.array([sp * np.cos(theta), sp * np.sin(theta), np.cos(phi)])
+    return np.stack([sp * np.cos(theta), sp * np.sin(theta), np.cos(phi)], -1)
 
 
 def angles_from_unit(u) -> tuple[float, float]:
@@ -102,22 +105,15 @@ def angles_from_unit(u) -> tuple[float, float]:
     return float(np.arctan2(u[1], u[0])), float(np.arccos(z))
 
 
-def random_unit3(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    n = np.linalg.norm(v)
-    while n < 1e-12:
-        v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-    return v / n
-
-
 def random_rotation_coords(d: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform rotation in normalized exponential coordinates."""
     if d == 2:
         return np.array([rng.uniform(-np.pi, np.pi)])
-    axis = random_unit3(rng)
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-12:  # a zero draw has no direction
+        axis = rng.normal(size=3)
     angle = rng.uniform(0.0, np.pi * (1.0 - 1e-9))
-    return angle * axis
+    return angle * (axis / np.linalg.norm(axis))
 
 
 def look_at_rotation(direction: np.ndarray, roll: float = 0.0) -> np.ndarray:
@@ -128,9 +124,7 @@ def look_at_rotation(direction: np.ndarray, roll: float = 0.0) -> np.ndarray:
     d = direction.size
     u = direction / np.linalg.norm(direction)
     if d == 2:
-        # want R(theta) @ u == e2
-        theta = np.pi / 2.0 - np.arctan2(u[1], u[0])
-        return rot2(theta)
+        return rot2(np.pi / 2.0 - np.arctan2(u[1], u[0]))  # R @ u == e2
     e3 = np.array([0.0, 0.0, 1.0])
     v = np.cross(u, e3)
     s = np.linalg.norm(v)

@@ -73,7 +73,7 @@ def scene_to_doc(scene: Scene | JetScene) -> dict:
         doc["motion"] = scene.motion.tolist()
     else:
         doc["points"] = scene.points.tolist()
-    doc["cameras"] = [{"params": c.params.tolist()} for c in scene.cams]
+    doc["cameras"] = [{"params": p} for p in scene.params.tolist()]
     doc["globals"] = scene.globals_vec.tolist()
     return doc
 
@@ -113,11 +113,10 @@ def doc_to_scene(doc: dict) -> Scene | JetScene:
     cam_docs = _require(doc, "cameras", "scene")
     if not isinstance(cam_docs, list):
         raise FormatError("scene: 'cameras' must be a list")
-    cams = tuple(
-        Camera(cls, _numbers(_require(c, "params", "camera"), "camera params")) for c in cam_docs
-    )
     glob = _numbers(doc.get("globals", []), "scene globals")
     try:
+        cams = [Camera(cls, _numbers(_require(c, "params", "camera"), "camera params"))
+                for c in cam_docs]
         if "model" in doc:
             model = str(doc["model"])
             motion = _numbers(_require(doc, "motion", "jet scene"), "jet scene motion")

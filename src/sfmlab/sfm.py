@@ -1,11 +1,12 @@
 """Scenes, the measurement map, finite-difference Jacobians, and rank analysis.
 
-A scene is ``n`` points and ``m`` cameras of one class plus any shared
-scene-level parameters. ``evaluate`` produces the full n-by-m grid of retinal
-chart coordinates; stacking the grid row-major gives the measurement map whose
-Jacobian is analyzed here. Moving-point scenes (``JetScene``) replace each
-static point by a small motion model sampled at the per-camera shot times; a
-static point is the order-0 case, so both kinds share one code path.
+A scene is ``n`` points and ``m`` cameras of one class, held as one (m, f)
+parameter array, plus any shared scene-level parameters. ``evaluate`` produces
+the full n-by-m grid of retinal chart coordinates; stacking the grid row-major
+gives the measurement map whose Jacobian is analyzed here. Moving-point scenes
+(``JetScene``) replace each static point by a small motion model sampled at
+the per-camera shot times; a static point is the order-0 case, so both kinds
+share one code path.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import cameras as cam
 from . import geometry
-from .cameras import Camera, CameraClass
-from .errors import DegenerateConfigurationError, SingularConfigurationError
+from .cameras import Camera, CameraClass, checked_globals
+from .errors import DegenerateConfigurationError
 
 DEFAULT_FD_STEP = 1e-6
 MAX_DRAWS = 100  # scenes a sampler draws before it gives up
@@ -37,29 +37,14 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _cameras_and_globals(cls: CameraClass, cams, globals_vec) -> tuple:
-    cams_t = tuple(cams)
-    if len(cams_t) < 1:
-        raise ValueError("at least one camera required")
-    for c in cams_t:
-        if c.cls.name != cls.name:
-            raise ValueError(f"camera class {c.cls.name} does not match scene class {cls.name}")
-    glob = np.asarray(globals_vec, dtype=float).reshape(-1)
-    if glob.size != cls.h:
-        raise ValueError(f"{cls.name} expects {cls.h} scene-level parameter(s)")
-    _check_finite("scene-level parameters", glob)
-    return cams_t, _freeze(glob)
-
-
 def _split_vector(cls: CameraClass, block_shape: tuple, m: int, vec) -> tuple:
-    """Point coefficient block, cameras and globals of a coordinate vector."""
+    """Point coefficient block, camera parameters and globals of a coordinate vector."""
     vec = np.asarray(vec, dtype=float).reshape(-1)
     block = math.prod(block_shape)
     cams_end = block + cls.f * m
     if vec.size != cams_end + cls.h:
         raise ValueError(f"expected vector of length {cams_end + cls.h}, got {vec.size}")
-    cams = tuple(Camera(cls, vec[off : off + cls.f]) for off in range(block, cams_end, cls.f))
-    return vec[:block].reshape(block_shape), cams, vec[cams_end:]
+    return vec[:block].reshape(block_shape), vec[block:cams_end].reshape(m, cls.f), vec[cams_end:]
 
 
 class _SceneLayout:
@@ -69,14 +54,39 @@ class _SceneLayout:
     of shape (n, rows, d). Row 0 is the anchor, which moves like a point under
     the symmetry group; the other rows (radius vectors, higher Taylor terms)
     only rotate and scale. ``with_coefficients`` rebuilds the scene from such
-    rows, and ``positions(j)`` gives the positions camera ``j`` photographs.
-    The coordinate vector is all coefficients, then each camera's parameters,
-    then the scene-level parameters.
+    rows, and ``shot_positions()`` gives the positions every camera
+    photographs, shape (m, n, d). The coordinate vector is all coefficients,
+    then each camera's parameters (the rows of ``params``), then the
+    scene-level parameters.
     """
+
+    def _check_cameras(self) -> None:
+        """Freeze ``params`` as a checked (m, f) array, stacked first from a
+        sequence of cameras of the scene's class, and the shared parameters."""
+        cls, params = self.cls, self.params
+        if not isinstance(params, np.ndarray):
+            params = tuple(params)
+            if not all(isinstance(c, Camera) and c.cls.name == cls.name for c in params):
+                raise ValueError(f"cameras must be {cls.name} Camera objects or an (m, f) array")
+            params = np.array([c.params for c in params]).reshape(-1, cls.f)
+        params = np.asarray(params, dtype=float)
+        if params.ndim != 2 or params.shape[1] != cls.f or params.shape[0] < 1:
+            raise ValueError(f"{cls.name} needs m >= 1 cameras, parameters of shape (m, {cls.f})")
+        _check_finite("camera parameters", params)
+        object.__setattr__(self, "params", _freeze(params))
+        object.__setattr__(self, "globals_vec", _freeze(checked_globals(cls, self.globals_vec)))
 
     @property
     def m(self) -> int:
-        return len(self.cams)
+        return self.params.shape[0]
+
+    @property
+    def cams(self) -> tuple[Camera, ...]:
+        """The cameras as ``Camera`` objects, built on each access."""
+        return tuple(Camera(self.cls, p) for p in self.params)
+
+    def positions(self, j: int) -> np.ndarray:  # row j of shot_positions()
+        return self.shot_positions()[j]
 
     @property
     def dim(self) -> int:
@@ -84,10 +94,8 @@ class _SceneLayout:
         return self.point_dim * self.n + self.cls.f * self.m + self.cls.h
 
     def to_vector(self) -> np.ndarray:
-        parts = [self.coefficients.reshape(-1)]
-        parts.extend(c.params for c in self.cams)
-        parts.append(self.globals_vec)
-        return np.concatenate(parts)
+        return np.concatenate([self.coefficients.reshape(-1), self.params.reshape(-1),
+                               self.globals_vec])
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate indices by owner: ``points`` of shape (n, point_dim) and
@@ -113,11 +121,11 @@ class _SceneLayout:
 
 @dataclass(frozen=True)
 class Scene(_SceneLayout):
-    """Static configuration: points, cameras, shared parameters."""
+    """Static configuration: points, camera parameters (or cameras), shared parameters."""
 
     cls: CameraClass
     points: np.ndarray  # (n, d)
-    cams: tuple[Camera, ...]
+    params: np.ndarray  # (m, f)
     globals_vec: np.ndarray  # (h,)
     model: ClassVar[str] = "static"  # the order-0 motion law; align compares models
 
@@ -126,10 +134,8 @@ class Scene(_SceneLayout):
         if pts.ndim != 2 or pts.shape[1] != self.cls.d or pts.shape[0] < 1:
             raise ValueError(f"points must have shape (n, {self.cls.d}) with n >= 1")
         _check_finite("points", pts)
-        cams_t, glob = _cameras_and_globals(self.cls, self.cams, self.globals_vec)
+        self._check_cameras()
         object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "cams", cams_t)
-        object.__setattr__(self, "globals_vec", glob)
 
     @property
     def n(self) -> int:
@@ -143,19 +149,19 @@ class Scene(_SceneLayout):
     def coefficients(self) -> np.ndarray:
         return self.points[:, None, :]
 
-    def positions(self, j: int) -> np.ndarray:
-        return self.points
+    def shot_positions(self) -> np.ndarray:
+        return np.broadcast_to(self.points, (self.m,) + self.points.shape)
 
-    def with_coefficients(self, coefficients: np.ndarray, cams) -> "Scene":
-        return Scene(self.cls, coefficients[:, 0, :], cams, self.globals_vec)
+    def with_coefficients(self, coefficients: np.ndarray, params: np.ndarray) -> "Scene":
+        return Scene(self.cls, coefficients[:, 0, :], params, self.globals_vec)
 
     def with_vector(self, vec: np.ndarray) -> "Scene":
         return scene_from_vector(self.cls, self.n, self.m, vec)
 
 
 def scene_from_vector(cls: CameraClass, n: int, m: int, vec: np.ndarray) -> Scene:
-    pts, cams, glob = _split_vector(cls, (n, cls.d), m, vec)
-    return Scene(cls, pts, cams, glob)
+    pts, params, glob = _split_vector(cls, (n, cls.d), m, vec)
+    return Scene(cls, pts, params, glob)
 
 
 @dataclass(frozen=True)
@@ -192,14 +198,15 @@ class JetScene(_SceneLayout):
     ``model`` selects the motion law. ``circle`` keeps each point on a
     circle traversed at the shared known angular velocity ``omega``; its
     coefficient row is [center, radius vector]. ``taylor`` stores polynomial
-    coefficients of shape (k+1, d) per point.
+    coefficients of shape (k+1, d) per point. ``params`` may be given as a
+    sequence of ``Camera`` objects.
     """
 
     cls: CameraClass
     model: str  # circle | taylor
     motion: np.ndarray  # circle: (n, 4); taylor: (n, k+1, d)
     times: np.ndarray  # (m,), strictly increasing
-    cams: tuple[Camera, ...]
+    params: np.ndarray  # (m, f)
     globals_vec: np.ndarray
     omega: float = 0.0
 
@@ -217,21 +224,18 @@ class JetScene(_SceneLayout):
                 raise ValueError("the circle motion model is planar")
             if motion.ndim != 2 or motion.shape[1] != 4 or motion.shape[0] < 1:
                 raise ValueError("circle motion rows are [cx, cy, rx, ry]")
-            radii = np.linalg.norm(motion[:, 2:], axis=1)
-            if np.any(radii < 1e-12):
+            if np.any(np.linalg.norm(motion[:, 2:], axis=1) < 1e-12):
                 raise ValueError("circle radius vectors must be nonzero")
         else:
             if motion.ndim != 3 or motion.shape[2] != self.cls.d or motion.shape[0] < 1:
                 raise ValueError("taylor motion must have shape (n, k+1, d)")
-        if times.size != len(self.cams):
+        self._check_cameras()
+        if times.size != self.m:
             raise ValueError("one shot time per camera required")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        cams_t, glob = _cameras_and_globals(self.cls, self.cams, self.globals_vec)
         object.__setattr__(self, "motion", _freeze(motion))
         object.__setattr__(self, "times", _freeze(times))
-        object.__setattr__(self, "cams", cams_t)
-        object.__setattr__(self, "globals_vec", glob)
 
     @property
     def n(self) -> int:
@@ -245,47 +249,43 @@ class JetScene(_SceneLayout):
     def coefficients(self) -> np.ndarray:
         return self.motion.reshape(self.n, -1, self.cls.d)
 
-    def positions(self, j: int) -> np.ndarray:
-        return jet_position(self.motion, self.times[j], self.model, self.omega)
+    def shot_positions(self) -> np.ndarray:
+        return jet_position(self.motion, self.times, self.model, self.omega)
 
-    def with_coefficients(self, coefficients: np.ndarray, cams) -> "JetScene":
+    def with_coefficients(self, coefficients: np.ndarray, params: np.ndarray) -> "JetScene":
         return JetScene(self.cls, self.model, coefficients.reshape(self.motion.shape), self.times,
-                        cams, self.globals_vec, self.omega)
+                        params, self.globals_vec, self.omega)
 
     def with_vector(self, vec: np.ndarray) -> "JetScene":
-        motion, cams, glob = _split_vector(self.cls, self.motion.shape, self.m, vec)
-        return JetScene(self.cls, self.model, motion, self.times, cams, glob, self.omega)
+        motion, params, glob = _split_vector(self.cls, self.motion.shape, self.m, vec)
+        return JetScene(self.cls, self.model, motion, self.times, params, glob, self.omega)
 
 
-def jet_position(coeffs, t: float, model: str = "circle", omega: float = 0.0) -> np.ndarray:
-    """Position at time ``t`` of one moving point, or of a stack of them.
+def jet_position(coeffs, t, model: str = "circle", omega: float = 0.0) -> np.ndarray:
+    """Positions at time ``t`` of one moving point, or of a stack of them.
 
     ``coeffs`` is one point's motion row (circle: (4,); taylor: (k+1, d)) or
-    a stack of such rows along the leading axes.
+    a stack of such rows along the leading axes. An array of times puts its
+    axes first: times (m,) and coefficients (n, ...) give positions (m, n, d).
     Circle model: center + R(omega * t) applied to the radius vector.
     Taylor model: sum of coeffs[..., l, :] * t**l over the Taylor rows.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    t = np.asarray(t, dtype=float)
+    t = t.reshape(t.shape + (1,) * (coeffs.ndim - 1))  # time axes before the stack's axes
     if model == "circle":
         return coeffs[..., :2] + (geometry.rot2(omega * t) @ coeffs[..., 2:, None])[..., 0]
     if model == "taylor":
-        return (t ** np.arange(coeffs.shape[-2])) @ coeffs
+        powers = t ** np.arange(coeffs.shape[-2])
+        return (powers[..., None, :] @ coeffs)[..., 0, :]
     raise ValueError(f"unknown motion model {model!r}")
 
 
 def evaluate(scene: Scene | JetScene) -> Measurements:
     """Project the positions each camera sees, at its shot time for moving
-    points, through that camera."""
-    n, m, s = scene.n, scene.m, scene.cls.s
-    data = np.empty((n, m, s))
-    for j, camera in enumerate(scene.cams):
-        try:
-            data[:, j, :] = cam.project_points(camera, scene.globals_vec, scene.positions(j))
-        except SingularConfigurationError as exc:
-            raise SingularConfigurationError(
-                exc.reason, point_index=exc.point_index, camera_index=j
-            ) from None
-    return Measurements(scene.cls, data)
+    points, through that camera: every camera in one call of its class."""
+    data = scene.cls.project(scene.params, scene.globals_vec, scene.shot_positions())
+    return Measurements(scene.cls, data.swapaxes(0, 1))
 
 
 evaluate_jet = evaluate
@@ -379,18 +379,18 @@ def _draw_scene(cls: CameraClass, m: int, seed, spread: float, box: float,
     """Draw scenes until every camera keeps its margins from the positions it sees.
 
     Each try draws the point coefficients (``draw_points(rng)`` returns a
-    function of the cameras and shared parameters that builds the scene),
+    function of the camera parameters and shared parameters that builds it),
     then the shared parameters, then the cameras through their class's
     placement; ``box`` bounds omni camera centers.
     """
+    if not 0 < spread < math.inf:
+        raise ValueError("spread must be a positive finite number")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
         build = draw_points(rng)
         glob = np.array([rng.uniform(0.5, 2.0) * spread]) if cls.h else np.zeros(0)
-        cams = tuple(Camera(cls, cls.place(rng, spread, box)) for _ in range(m))
-        scene = build(cams, glob)
-        if all(cls.margins_ok(c.params, scene.globals_vec, scene.positions(j), spread)
-               for j, c in enumerate(scene.cams)):
+        scene = build(np.array([cls.place(rng, spread, box) for _ in range(m)]), glob)
+        if cls.margins_ok(scene.params, scene.globals_vec, scene.shot_positions(), spread):
             return scene
     raise DegenerateConfigurationError(
         f"no non-singular {cls.name} scene found in {MAX_DRAWS} draws"
@@ -410,7 +410,7 @@ def random_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0) ->
 
     def draw_points(rng):
         points = rng.uniform(-spread, spread, size=(n, cls.d))
-        return lambda cams, glob: Scene(cls, points, cams, glob)
+        return lambda params, glob: Scene(cls, points, params, glob)
 
     return _draw_scene(cls, m, seed, spread, 1.6 * spread, draw_points)
 
@@ -428,7 +428,8 @@ def random_jet_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0
         radii = rng.uniform(0.3, 0.8, size=n) * spread
         motion = np.column_stack([centers,
                                   radii * np.cos(angles), radii * np.sin(angles)])
-        return lambda cams, glob: JetScene(cls, "circle", motion, times, cams, glob, JET_OMEGA)
+        return lambda params, glob: JetScene(cls, "circle", motion, times, params, glob,
+                                             JET_OMEGA)
 
     return _draw_scene(cls, m, seed, spread, 1.8 * spread, draw_points)
 

@@ -85,10 +85,13 @@ def act_camera(gamma: GroupElement, camera: Camera) -> Camera:
 def act_scene(gamma: GroupElement, scene: Scene | JetScene) -> Scene | JetScene:
     """Transform a scene: anchor rows move like points, while radius vectors
     and higher Taylor terms only rotate and scale."""
+    cls = scene.cls
+    _check_group(gamma, cls)
     coefficients = scene.coefficients
     moved = coefficients @ (gamma.scale * gamma.rotation).T
     moved[:, 0, :] = act_points(gamma, coefficients[:, 0, :])
-    return scene.with_coefficients(moved, tuple(act_camera(gamma, c) for c in scene.cams))
+    params = [cls.act(p, gamma.scale, gamma.rotation, gamma.translation) for p in scene.params]
+    return scene.with_coefficients(moved, np.array(params))
 
 
 act_jet_scene = act_scene
@@ -145,7 +148,7 @@ def _matched_positions(scene) -> np.ndarray:
     the class exposes one. Parameter charts are not equivariant; positions are."""
     rows = [scene.coefficients[:, 0, :]]
     if scene.cls.position_slice is not None:
-        rows.append(np.stack([c.position for c in scene.cams]))
+        rows.append(scene.params[:, scene.cls.position_slice])
     return np.concatenate(rows, axis=0)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sfmlab import geometry
 from sfmlab.cameras import (
     Camera,
     camera_map,
@@ -200,3 +201,23 @@ def test_random_camera_deterministic_and_valid():
                               np.sin(cam.params[1]) * np.sin(cam.params[0]),
                               np.cos(cam.params[1])]))
                 assert abs(u - 1.0) < 1e-12
+
+
+def test_rotation_matrix_of_a_stack_equals_its_rows_exactly():
+    rng = np.random.default_rng(17)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    stacks = {
+        2: np.concatenate([[0.0, 1e-9, np.pi - 1e-9, -np.pi], rng.uniform(-np.pi, np.pi, 4)]),
+        3: np.vstack([np.zeros(3), 1e-9 * axis, (np.pi - 1e-9) * axis, -np.pi * axis,
+                      rng.normal(size=(4, 3))]),
+    }
+    for d, coords in stacks.items():
+        coords = coords.reshape(8, -1)  # (8, 1) angles in the plane, (8, 3) in space
+        R = geometry.rotation_matrix(d, coords)
+        assert R.shape == (8, d, d)
+        for k in range(8):
+            assert np.array_equal(R[k], geometry.rotation_matrix(d, coords[k]))
+        assert np.array_equal(geometry.rotation_matrix(d, coords.reshape(2, 4, -1)),
+                              R.reshape(2, 4, d, d))
+        assert np.allclose(R @ R.swapaxes(-1, -2), np.eye(d), atol=1e-12)

@@ -213,6 +213,15 @@ def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("params", [[1.0, 2.0], [1.0, 2.0, float("nan")]],
+                         ids=["two of three parameters", "non-finite parameter"])
+def test_scene_document_with_a_bad_camera_raises_format_error(params):
+    doc = io.scene_to_doc(random_scene(catalog_lookup("omni-2d"), 3, 3, seed=4))
+    doc["cameras"][1]["params"] = params
+    with pytest.raises(FormatError, match="scene document invalid"):
+        io.doc_to_scene(doc)
+
+
 # the exceptions cli.main reports as "error: ..." with exit code 2
 EXIT_2_ERRORS = (FormatError, SfmlabError, OSError, ValueError)
 

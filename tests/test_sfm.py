@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from sfmlab import geometry
-from sfmlab.cameras import POLE_MARGIN, Camera, catalog, catalog_lookup, project
+from sfmlab.cameras import (
+    POLE_MARGIN,
+    Camera,
+    catalog,
+    catalog_lookup,
+    project,
+    project_points,
+    random_camera,
+)
 from sfmlab.errors import SingularConfigurationError
 from sfmlab.sfm import (
     JetScene,
@@ -24,11 +32,23 @@ from sfmlab.symmetry import act_scene, generators, random_element
 
 
 def test_evaluate_reduces_to_project():
-    cls = catalog_lookup("perspective-known-3d")
-    scene = random_scene(cls, 1, 1, seed=3)
-    meas = evaluate(scene)
-    direct = project(scene.cams[0], scene.globals_vec, scene.points[0])
-    assert np.allclose(meas.data[0, 0], direct)
+    """Each column of the batched measurement grid is exactly the one-camera
+    projection of the positions that camera photographs."""
+    scenes = [random_scene(cls, 4, 3, seed=3) for cls in catalog()]
+    scenes.append(random_jet_scene(catalog_lookup("omni-2d"), 4, 3, seed=3))
+    base = random_scene(catalog_lookup("perspective-2d"), 4, 3, seed=4)  # h = 1
+    motion = np.random.default_rng(5).normal(size=(4, 3, 2))  # order-2 Taylor jet
+    scenes.append(JetScene(base.cls, "taylor", motion, np.array([0.0, 0.5, 1.0]), base.cams,
+                           base.globals_vec))
+    for scene in scenes:
+        data = evaluate(scene).data
+        assert data.shape == (4, 3, scene.cls.s)
+        for j, camera in enumerate(scene.cams):
+            direct = project_points(camera, scene.globals_vec, scene.positions(j))
+            assert np.array_equal(data[:, j], direct), scene.cls.name
+            # one point takes another BLAS kernel, so only the last bits may differ
+            assert np.allclose(data[1, j], project(camera, scene.globals_vec,
+                                                   scene.positions(j)[1]), rtol=1e-14, atol=1e-14)
 
 
 def test_evaluate_shapes():
@@ -42,12 +62,58 @@ def test_evaluate_shapes():
 
 def test_evaluate_reports_singular_pair():
     cls = catalog_lookup("omni-oriented-2d")
-    cams = (Camera(cls, np.array([0.0, 0.0])), Camera(cls, np.array([3.0, 3.0])))
+    # point 1 sits on camera 1's center and point 0 on camera 2's: the first
+    # pair in camera-major order is reported
+    cams = tuple(Camera(cls, np.array(c)) for c in ([0.0, 0.0], [3.0, 3.0], [1.0, 1.0]))
     scene = Scene(cls, np.array([[1.0, 1.0], [3.0, 3.0]]), cams, np.zeros(0))
     with pytest.raises(SingularConfigurationError) as err:
         evaluate(scene)
     assert err.value.point_index == 1 and err.value.camera_index == 1
     assert str(err.value) == "point coincides with an omni camera center (point 1, camera 1)"
+
+
+def test_singular_error_names_only_known_indices():
+    cls = catalog_lookup("omni-oriented-2d")
+    with pytest.raises(SingularConfigurationError) as err:
+        project_points(Camera(cls, np.array([1.0, 1.0])), None, np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert err.value.point_index == 1 and err.value.camera_index is None
+    assert str(err.value) == "point coincides with an omni camera center (point 1)"
+
+
+def test_scenes_take_cameras_or_a_parameter_array():
+    scene = random_scene(catalog_lookup("perspective-2d"), 3, 4, seed=6)  # f = 3, h = 1
+    assert scene.params.shape == (4, 3) and not scene.params.flags.writeable
+    same = Scene(scene.cls, scene.points, scene.params.copy(), scene.globals_vec)
+    assert np.array_equal(same.to_vector(), scene.to_vector())
+    assert [c.params.tolist() for c in same.cams] == scene.params.tolist()
+    other = catalog_lookup("omni-2d")  # also f = 3
+    bad_params = {
+        "wrong width": np.zeros((4, 2)),
+        "no cameras": np.zeros((0, 3)),
+        "one row": np.zeros(3),
+        "non-finite": np.where(np.eye(4, 3) > 0, np.nan, 1.0),
+        "other class": [Camera(other, np.zeros(3))] * 4,
+        "not cameras": [[0.0, 0.0, 0.0]] * 4,
+    }
+    for case, params in bad_params.items():
+        with pytest.raises(ValueError):
+            Scene(scene.cls, scene.points, params, scene.globals_vec)
+        with pytest.raises(ValueError):
+            JetScene(scene.cls, "taylor", scene.points[:, None, :], np.arange(4.0), params,
+                     scene.globals_vec)
+
+
+@pytest.mark.parametrize("spread", [0.0, -2.0, np.nan, np.inf])
+@pytest.mark.parametrize("sampler", ["omni-3d", "perspective-3d", "affine-ortho-3d", "circle",
+                                     "camera"])
+def test_samplers_reject_a_spread_that_is_not_positive_and_finite(sampler, spread):
+    with pytest.raises(ValueError, match="spread"):
+        if sampler == "circle":
+            random_jet_scene(catalog_lookup("omni-2d"), 4, 3, seed=1, spread=spread)
+        elif sampler == "camera":
+            random_camera(catalog_lookup("perspective-3d"), 1, spread=spread)
+        else:
+            random_scene(catalog_lookup(sampler), 4, 3, seed=1, spread=spread)
 
 
 def test_evaluate_invariant_under_group_action():
@@ -76,10 +142,13 @@ def test_jet_position_of_a_stack_equals_its_rows_exactly():
     rng = np.random.default_rng(65)
     stacks = [("circle", rng.normal(size=(7, 4)))]
     stacks += [("taylor", rng.normal(size=(7, k + 1, d))) for k in range(4) for d in (2, 3)]
+    times = np.array([0.0, 0.35, -1.7, 2.45])
     for model, coeffs in stacks:
-        for t in (0.0, 0.35, -1.7, 2.45):
+        for t in times:
             rows = np.array([jet_position(c, t, model, omega=0.7) for c in coeffs])
             assert np.array_equal(jet_position(coeffs, t, model, omega=0.7), rows)
+        shots = jet_position(coeffs, times, model, omega=0.7)  # (times, points, d)
+        assert np.array_equal(shots, [jet_position(coeffs, t, model, omega=0.7) for t in times])
     cls = catalog_lookup("omni-2d")
     circle = random_jet_scene(cls, 6, 5, seed=66)
     taylor = JetScene(cls, "taylor", rng.normal(size=(6, 3, 2)), circle.times, circle.cams,
