@@ -38,7 +38,6 @@ from .errors import (
 from .reconstruct import (
     GaugeChart,
     LocalUniquenessReport,
-    SolveOptions,
     SolveReport,
     gauge_fix,
     gauge_fix_jet,

@@ -17,7 +17,6 @@ arguments and delegate to the camera's class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,6 +26,7 @@ from . import geometry
 from .errors import ChartRangeError, SingularConfigurationError, UnknownClassError
 
 SINGULAR_CUTOFF = 1e-9
+SPREAD = 2.0  # sampled points fill [-SPREAD, SPREAD]^d
 POLE_MARGIN = 1e-3  # rejection radius around angle-chart poles, radians
 
 
@@ -78,12 +78,12 @@ class CameraClass:
         """Orientation coordinates of the camera after rotating the world by ``R``."""
         return geometry.rotation_log(self.d, self.rotation(p) @ R.T)
 
-    def place(self, rng: np.random.Generator, spread: float, box: float) -> np.ndarray:
-        """Parameters of a camera for a scene whose points fill [-spread, spread]^d;
+    def place(self, rng: np.random.Generator, box: float) -> np.ndarray:
+        """Parameters of a camera for a scene whose points fill [-SPREAD, SPREAD]^d;
         ``box`` is the half-width of the box that omni centers are drawn from."""
-        return self.sample(rng, spread)
+        return self.sample(rng, SPREAD)
 
-    def margins_ok(self, P: np.ndarray, glob: np.ndarray, X: np.ndarray, spread: float) -> bool:
+    def margins_ok(self, P: np.ndarray, glob: np.ndarray, X: np.ndarray) -> bool:
         """Whether every camera's positions (row j of X for camera row j of P)
         keep the sampling margins from its singular set and chart poles."""
         return True
@@ -184,13 +184,13 @@ class OmniClass(CameraClass):
             return center
         return np.concatenate([center, geometry.random_rotation_coords(self.d, rng)])
 
-    def place(self, rng, spread, box):
+    def place(self, rng, box):
         return self.sample(rng, box)
 
-    def margins_ok(self, P, glob, X, spread):
-        """Positions at least 0.25 * spread from the center and, in 3D, at
+    def margins_ok(self, P, glob, X):
+        """Positions at least 0.25 * SPREAD from the center and, in 3D, at
         least ``POLE_MARGIN`` away from the poles of the polar angle."""
-        if np.linalg.norm(X - P[:, None, : self.d], axis=-1).min() < 0.25 * spread:
+        if np.linalg.norm(X - P[:, None, : self.d], axis=-1).min() < 0.25 * SPREAD:
             return False
         if self.d == 2:
             return True
@@ -269,17 +269,17 @@ class PerspectiveClass(CameraClass):
         pos = rng.uniform(-spread, spread, size=self.d)
         return self._with_focal([pos, geometry.random_rotation_coords(self.d, rng)], rng, spread)
 
-    def place(self, rng, spread, box):
+    def place(self, rng, box):
         """Outside the point cloud, looking at a target near its middle."""
         direction = rng.normal(size=self.d)
         direction /= np.linalg.norm(direction)
-        pos = direction * spread * rng.uniform(2.0, 3.0)
-        target = rng.uniform(-0.3, 0.3, size=self.d) * spread
+        pos = direction * SPREAD * rng.uniform(2.0, 3.0)
+        target = rng.uniform(-0.3, 0.3, size=self.d) * SPREAD
         R = geometry.look_at_rotation(target - pos,
-                                      roll=rng.uniform(-np.pi, np.pi) if self.d == 3 else 0.0)
-        return self._with_focal([pos, geometry.rotation_log(self.d, R)], rng, spread)
+                                      rng.uniform(-np.pi, np.pi) if self.d == 3 else 0.0)
+        return self._with_focal([pos, geometry.rotation_log(self.d, R)], rng, SPREAD)
 
-    def margins_ok(self, P, glob, X, spread):
+    def margins_ok(self, P, glob, X):
         """Positions at least 0.5 in front of the projection-center plane."""
         return bool(self._frame(P, glob, X)[1].min() >= 0.5)
 
@@ -446,10 +446,8 @@ def singular_margin(camera: Camera, globals_vec, point) -> float:
                                np.asarray(point, dtype=float))
 
 
-def random_camera(cls: CameraClass, seed, spread: float = 2.0) -> Camera:
-    """Deterministic random camera: positions in [-spread, spread]^d,
+def random_camera(cls: CameraClass, seed) -> Camera:
+    """Deterministic random camera: positions in [-SPREAD, SPREAD]^d,
     rotations uniform in normalized exponential coordinates, focal lengths
-    in [0.5, 2] * spread."""
-    if not 0 < spread < math.inf:
-        raise ValueError("spread must be a positive finite number")
-    return Camera(cls, cls.sample(np.random.default_rng(seed), spread))
+    in [0.5, 2] * SPREAD."""
+    return Camera(cls, cls.sample(np.random.default_rng(seed), SPREAD))

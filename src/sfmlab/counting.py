@@ -12,6 +12,7 @@ variant replaces ``d`` by the per-point motion-model dimension.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .cameras import CameraClass, catalog_lookup
@@ -54,6 +55,14 @@ def _cls(cls: CameraClass | str) -> CameraClass:
     return catalog_lookup(cls) if isinstance(cls, str) else cls
 
 
+def checked_ints(what: str, *values) -> tuple[int, ...]:
+    """``values`` as Python ints; a float or a bool raises ValueError, since
+    exact arithmetic needs integers and a truth value is not a count."""
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{what} must be integers, got {values}")
+    return tuple(int(v) for v in values)
+
+
 def feasible(cls: CameraClass | str, n: int, m: int) -> FeasibilityReport:
     c = _cls(cls)
     return jet_feasible(c.d, c.f, c.g, c.h, c.s, n, m)
@@ -83,6 +92,7 @@ def min_points(cls: CameraClass | str, m: int) -> int | None:
 def min_cameras(cls: CameraClass | str, n: int) -> int | None:
     """Smallest feasible camera count for ``n`` points, None if no count works."""
     c = _cls(cls)
+    (n,) = checked_ints("counts", n)
     if n < 1:
         raise ValueError("need n >= 1")
     return _min_count(c.s * n - c.f, c.g - c.d * n - c.h)
@@ -95,6 +105,7 @@ def forbidden_region(cls: CameraClass | str, n_max: int, m_max: int) -> list[lis
     cannot be locally unique no matter the data.
     """
     c = _cls(cls)
+    n_max, m_max = checked_ints("grid bounds", n_max, m_max)
     if n_max < 1 or m_max < 1:
         raise ValueError("grid bounds must be >= 1")
     return [[feasible(c, n, m) for m in range(1, m_max + 1)] for n in range(1, n_max + 1)]
@@ -104,6 +115,7 @@ def jet_feasible(point_dim: int, f: int, g: int, h: int, s: int,
                  n: int, m: int) -> FeasibilityReport:
     """Dimension inequality for moving points with ``point_dim`` coefficients
     per point: point_dim*n + f*m + h <= s*n*m + g."""
+    point_dim, f, g, h, s, n, m = checked_ints("counts", point_dim, f, g, h, s, n, m)
     if min(point_dim, f, g, h, s) < 0:
         raise ValueError("dimensions must be non-negative")
     if n < 1 or m < 1:
@@ -115,6 +127,7 @@ def jet_feasible(point_dim: int, f: int, g: int, h: int, s: int,
 
 def jet_min_points(point_dim: int, f: int, g: int, h: int, s: int, m: int) -> int | None:
     """Smallest feasible point count for the moving-point inequality."""
+    point_dim, f, g, h, s, m = checked_ints("counts", point_dim, f, g, h, s, m)
     if m < 1:
         raise ValueError("need m >= 1")
     return _min_count(s * m - point_dim, g - f * m - h)
@@ -128,6 +141,7 @@ def jet_min_cameras(point_dim: int, f: int, g: int, h: int, s: int) -> int:
     finds those). Solved by coefficient comparison: at m = point_dim / s the
     slack is g - f*m - h for every n, and above it the slack grows with n.
     """
+    point_dim, f, g, h, s = checked_ints("counts", point_dim, f, g, h, s)
     if s < 1:
         raise ValueError("need at least one measured value per picture (s >= 1)")
     q, r = divmod(point_dim, s)
@@ -148,6 +162,7 @@ def anchored_slack(cls: CameraClass | str, n: int, m: int) -> int:
     c = _cls(cls)
     if c.s != c.d - 1:
         raise ValueError("anchored form needs a hypersurface retina (s = d - 1)")
+    n, m = checked_ints("counts", n, m)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     lhs = c.d * (n - 1) + (c.f - (c.d - 1)) * m + c.h

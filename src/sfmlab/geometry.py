@@ -116,7 +116,7 @@ def random_rotation_coords(d: int, rng: np.random.Generator) -> np.ndarray:
     return angle * (axis / np.linalg.norm(axis))
 
 
-def look_at_rotation(direction: np.ndarray, roll: float = 0.0) -> np.ndarray:
+def look_at_rotation(direction: np.ndarray, roll: float) -> np.ndarray:
     """Rotation R with R @ direction pointing along the last coordinate axis.
 
     ``roll`` adds an in-retina rotation about the optical axis (3D only).

@@ -60,7 +60,7 @@ def write_json(path, doc) -> None:
 def read_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .cameras import CameraClass
-from .counting import jet_feasible
+from .counting import checked_ints, jet_feasible
 from .errors import DegenerateConfigurationError, InfeasibleCountError
 # evaluate_jet and jet_generators stay bound here although unused:
 # perfbench/tracing.py wraps this module's binding of each name.
@@ -46,6 +46,7 @@ class GaugeChart:
         vals = np.asarray(self.values, dtype=float).copy()
         if vals.size != len(self.indices):
             raise ValueError("one pinned value per pinned index required")
+        checked_ints("pinned indices and dim", self.dim, *self.indices)
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("pinned indices must be distinct")
         if not all(0 <= i < self.dim for i in self.indices):
@@ -104,26 +105,23 @@ def _greedy_pins(G: np.ndarray, forced: list[int], pools: list[list[int]], g: in
     return chosen
 
 
-def gauge_fix(cls: CameraClass, template: Scene | JetScene, anchor_point: int = 0) -> GaugeChart:
+def gauge_fix(cls: CameraClass, template: Scene | JetScene) -> GaugeChart:
     """Pin ``g`` coordinates at their template values.
 
-    In order: the anchor point's first ``d`` coordinates (its position or
-    motion anchor), the first camera's orientation block for groups
-    containing rotations, then rotation- and scale-setting coordinates until
-    the pins span the orbit directions, preferring the anchor point's
-    remaining motion coefficients, then the next point's first ``d``.
+    In order: point 0's first ``d`` coordinates (its position or motion
+    anchor), the first camera's orientation block for groups containing
+    rotations, then rotation- and scale-setting coordinates until the pins
+    span the orbit directions, preferring point 0's remaining motion
+    coefficients, then point 1's first ``d``.
     """
     if template.cls.name != cls.name:
         raise ValueError("template class does not match")
-    if not 0 <= anchor_point < template.n:
-        raise ValueError("anchor out of range")
     G = generators(cls, template)
     points, cams = template.columns()
-    forced = points[anchor_point, :cls.d].tolist()
+    forced = points[0, :cls.d].tolist()
     if cls.group in ("euclidean", "similarity"):
         forced += cams[0, cls.rotation_slice].tolist()
-    pools = [points[anchor_point, cls.d:].tolist(),
-             points[(anchor_point + 1) % template.n, :cls.d].tolist(),
+    pools = [points[0, cls.d:].tolist(), points[1 % template.n, :cls.d].tolist(),
              list(range(template.dim))]
     idx = _greedy_pins(G, forced, pools, cls.g)
     vec = template.to_vector()
@@ -137,11 +135,7 @@ def gauge_fix_jet(js: JetScene) -> GaugeChart:
 
 GRADIENT_TOL = 1e-10  # converged when |J^T r| falls below this
 COST_DECREASE_TOL = 1e-14  # converged when a step lowers the cost by a smaller share
-
-
-@dataclass
-class SolveOptions:
-    max_iterations: int = 500
+MAX_ITERATIONS = 500  # Jacobian evaluations before the solver gives up
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,7 @@ class SolveReport:
     cost_history: tuple[float, ...]  # accepted costs, never increasing
 
 
-def _lm(residual, x0: np.ndarray, wrap: np.ndarray, max_iterations: int):
+def _lm(residual, x0: np.ndarray, wrap: np.ndarray):
     """Damped Gauss-Newton with identity damping: halve on acceptance,
     quadruple on rejection. Accepted steps never increase the cost."""
     x = x0.copy()
@@ -168,7 +162,7 @@ def _lm(residual, x0: np.ndarray, wrap: np.ndarray, max_iterations: int):
     converged = False
     grad_norm = float("inf")
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         J = fd_jacobian(residual, x, r.size, wrap)
         grad = J.T @ r
         grad_norm = float(np.linalg.norm(grad))
@@ -204,10 +198,9 @@ def _lm(residual, x0: np.ndarray, wrap: np.ndarray, max_iterations: int):
     return x, iterations, converged, grad_norm, tuple(history)
 
 
-def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
-          options: SolveOptions | None = None, gauge: GaugeChart | None = None) -> SolveReport:
-    """Invert the measurement map from a nearby initial scene; moving points
-    are fitted at the init scene's known shot times.
+def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) -> SolveReport:
+    """Invert the measurement map from a nearby initial scene, pinned by
+    ``gauge_fix``; moving points are fitted at the init scene's shot times.
 
     Raises InfeasibleCountError when the dimension inequality already rules
     out a locally unique inverse for these counts.
@@ -224,10 +217,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
             f"{cls.name} with n={init.n}, m={init.m}: unknowns {rep.lhs} exceed "
             f"measurements plus symmetry {rep.rhs}"
         )
-    max_iterations = (options or SolveOptions()).max_iterations
-    gauge = gauge or gauge_fix(cls, init)
-    if gauge.dim != init.dim:
-        raise ValueError("gauge does not match the scene")
+    gauge = gauge_fix(cls, init)
     target = measurements.data.ravel()
     wrap = init.output_angle_mask
     free = ~gauge.mask
@@ -240,7 +230,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene,
         r[wrap] = geometry.wrap_angle(r[wrap])
         return r
 
-    x, iterations, converged, grad_norm, history = _lm(residual, base[free], wrap, max_iterations)
+    x, iterations, converged, grad_norm, history = _lm(residual, base[free], wrap)
     vec = base.copy()
     vec[free] = x
     rmse = float(np.sqrt(history[-1] / target.size))

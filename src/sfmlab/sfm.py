@@ -18,10 +18,10 @@ from typing import ClassVar
 import numpy as np
 
 from . import geometry
-from .cameras import Camera, CameraClass, checked_globals
+from .cameras import SPREAD, Camera, CameraClass, checked_globals
 from .errors import DegenerateConfigurationError
 
-DEFAULT_FD_STEP = 1e-6
+FD_STEP = 1e-6  # central-difference step of every finite-difference Jacobian
 MAX_DRAWS = 100  # scenes a sampler draws before it gives up
 JET_OMEGA = 0.7  # angular velocity of every sampled circle jet
 
@@ -261,7 +261,7 @@ class JetScene(_SceneLayout):
         return JetScene(self.cls, self.model, motion, self.times, params, glob, self.omega)
 
 
-def jet_position(coeffs, t, model: str = "circle", omega: float = 0.0) -> np.ndarray:
+def jet_position(coeffs, t, model: str, omega: float = 0.0) -> np.ndarray:
     """Positions at time ``t`` of one moving point, or of a stack of them.
 
     ``coeffs`` is one point's motion row (circle: (4,); taylor: (k+1, d)) or
@@ -291,8 +291,7 @@ def evaluate(scene: Scene | JetScene) -> Measurements:
 evaluate_jet = evaluate
 
 
-def fd_jacobian(fn, x: np.ndarray, rows: int, wrap: np.ndarray,
-                step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def fd_jacobian(fn, x: np.ndarray, rows: int, wrap: np.ndarray) -> np.ndarray:
     """Central finite differences of ``fn`` at ``x``, shape (rows, x.size).
 
     Outputs marked in ``wrap`` are angles: their differences are wrapped so
@@ -301,26 +300,23 @@ def fd_jacobian(fn, x: np.ndarray, rows: int, wrap: np.ndarray,
     J = np.empty((rows, x.size))
     for k in range(x.size):
         xp = x.copy()
-        xp[k] += step
+        xp[k] += FD_STEP
         xm = x.copy()
-        xm[k] -= step
+        xm[k] -= FD_STEP
         diff = fn(xp) - fn(xm)
         diff[wrap] = geometry.wrap_angle(diff[wrap])
-        J[:, k] = diff / (2.0 * step)
+        J[:, k] = diff / (2.0 * FD_STEP)
     return J
 
 
-def jacobian(scene: Scene | JetScene, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def jacobian(scene: Scene | JetScene) -> np.ndarray:
     """Central finite-difference Jacobian of the flattened measurement map.
 
     Rows follow the row-major (point, camera, chart component) order, columns
     the scene coordinate vector.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     return fd_jacobian(lambda v: evaluate(scene.with_vector(v)).flat(), scene.to_vector(),
-                       scene.cls.s * scene.n * scene.m,
-                       scene.output_angle_mask, step)
+                       scene.cls.s * scene.n * scene.m, scene.output_angle_mask)
 
 
 @dataclass(frozen=True)
@@ -344,6 +340,9 @@ def numerical_rank(mat: np.ndarray, rel_tol: float | None = None) -> RankReport:
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         raise ValueError("empty matrix has no rank report")
+    if mat.ndim != 2:
+        raise ValueError(f"rank needs a 2-D matrix, got shape {mat.shape}")
+    _check_finite("matrix", [mat.min(), mat.max()])  # a nan or inf reaches them, without a copy
     if rel_tol is None:
         rel_tol = 1e-8 * max(mat.shape)
     if not 0.0 < rel_tol < 1.0:
@@ -374,8 +373,7 @@ class GenericRankReport:
     best: RankReport  # report of the best trial (max rank, then widest gap)
 
 
-def _draw_scene(cls: CameraClass, m: int, seed, spread: float, box: float,
-                draw_points) -> Scene | JetScene:
+def _draw_scene(cls: CameraClass, m: int, seed, box: float, draw_points) -> Scene | JetScene:
     """Draw scenes until every camera keeps its margins from the positions it sees.
 
     Each try draws the point coefficients (``draw_points(rng)`` returns a
@@ -383,21 +381,19 @@ def _draw_scene(cls: CameraClass, m: int, seed, spread: float, box: float,
     then the shared parameters, then the cameras through their class's
     placement; ``box`` bounds omni camera centers.
     """
-    if not 0 < spread < math.inf:
-        raise ValueError("spread must be a positive finite number")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
         build = draw_points(rng)
-        glob = np.array([rng.uniform(0.5, 2.0) * spread]) if cls.h else np.zeros(0)
-        scene = build(np.array([cls.place(rng, spread, box) for _ in range(m)]), glob)
-        if cls.margins_ok(scene.params, scene.globals_vec, scene.shot_positions(), spread):
+        glob = np.array([rng.uniform(0.5, 2.0) * SPREAD]) if cls.h else np.zeros(0)
+        scene = build(np.array([cls.place(rng, box) for _ in range(m)]), glob)
+        if cls.margins_ok(scene.params, scene.globals_vec, scene.shot_positions()):
             return scene
     raise DegenerateConfigurationError(
         f"no non-singular {cls.name} scene found in {MAX_DRAWS} draws"
     )
 
 
-def random_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0) -> Scene:
+def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
     """Deterministic generic scene with singularity margins enforced.
 
     Points are drawn in a box; omni cameras keep a minimum distance from all
@@ -409,13 +405,13 @@ def random_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0) ->
         raise ValueError("need n >= 1 points and m >= 1 cameras")
 
     def draw_points(rng):
-        points = rng.uniform(-spread, spread, size=(n, cls.d))
+        points = rng.uniform(-SPREAD, SPREAD, size=(n, cls.d))
         return lambda params, glob: Scene(cls, points, params, glob)
 
-    return _draw_scene(cls, m, seed, spread, 1.6 * spread, draw_points)
+    return _draw_scene(cls, m, seed, 1.6 * SPREAD, draw_points)
 
 
-def random_jet_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0) -> JetScene:
+def random_jet_scene(cls: CameraClass, n: int, m: int, seed) -> JetScene:
     """Deterministic circle-motion scene observed by planar cameras, with
     shared parameters, camera placement and margins as in ``random_scene``."""
     if cls.d != 2:
@@ -423,15 +419,15 @@ def random_jet_scene(cls: CameraClass, n: int, m: int, seed, spread: float = 2.0
     times = 0.35 * np.arange(m)
 
     def draw_points(rng):
-        centers = rng.uniform(-spread, spread, size=(n, 2))
+        centers = rng.uniform(-SPREAD, SPREAD, size=(n, 2))
         angles = rng.uniform(-np.pi, np.pi, size=n)
-        radii = rng.uniform(0.3, 0.8, size=n) * spread
+        radii = rng.uniform(0.3, 0.8, size=n) * SPREAD
         motion = np.column_stack([centers,
                                   radii * np.cos(angles), radii * np.sin(angles)])
         return lambda params, glob: JetScene(cls, "circle", motion, times, params, glob,
                                              JET_OMEGA)
 
-    return _draw_scene(cls, m, seed, spread, 1.8 * spread, draw_points)
+    return _draw_scene(cls, m, seed, 1.8 * SPREAD, draw_points)
 
 
 def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 0,

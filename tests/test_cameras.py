@@ -5,6 +5,7 @@ import pytest
 
 from sfmlab import geometry
 from sfmlab.cameras import (
+    SPREAD,
     Camera,
     camera_map,
     catalog,
@@ -190,11 +191,11 @@ def test_random_camera_deterministic_and_valid():
         assert np.array_equal(a.params, b.params)
         assert not np.array_equal(a.params, c.params)
         for k in range(1000):
-            cam = random_camera(cls, k, spread=1.5)
+            cam = random_camera(cls, k)
             assert cam.params.shape == (cls.f,)
             assert np.all(np.isfinite(cam.params))
             if cls.focal_index is not None:
-                assert 0.5 * 1.5 <= cam.params[cls.focal_index] <= 2.0 * 1.5
+                assert 0.5 * SPREAD <= cam.params[cls.focal_index] <= 2.0 * SPREAD
             if cls.kind == "line":
                 u = np.linalg.norm(
                     np.array([np.sin(cam.params[1]) * np.cos(cam.params[0]),

@@ -183,7 +183,7 @@ def test_module_invocation_smoke():
 @pytest.mark.parametrize("case", ["camera entry not an object", "measurements without m",
                                   "non-finite point", "measurements n a list",
                                   "camera params an object", "scene globals an object",
-                                  "measurements of another class"])
+                                  "measurements of another class", "deeply nested JSON"])
 def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
     scene = random_scene(catalog_lookup("omni-oriented-2d"), 3, 3, seed=4)
     scene_doc = io.scene_to_doc(scene)
@@ -200,11 +200,14 @@ def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
         scene_doc["cameras"][0]["params"] = {"a": 1}
     elif case == "measurements of another class":
         meas_doc["class"] = "affine-ortho-2d"  # same s, so the grid shape matches
-    else:
+    elif case == "scene globals an object":
         scene_doc["globals"] = {"a": 1}
     sp, mp = tmp_path / "s.json", tmp_path / "m.json"
     sp.write_text(json.dumps(scene_doc))
     mp.write_text(json.dumps(meas_doc))
+    if case == "deeply nested JSON":  # json recurses once per level
+        for path in (sp, mp):
+            path.write_text("[" * 200_000 + "]" * 200_000)
     proc = subprocess.run(
         [sys.executable, "-m", "sfmlab", "reconstruct", str(mp), str(sp), str(tmp_path / "o.json")],
         capture_output=True, text=True,

@@ -70,6 +70,24 @@ def test_min_counts_match_brute_force(name):
         assert min_cameras(cls, n) == brute_min_cameras(cls, n)
 
 
+NON_INTEGER_COUNTS = {
+    "feasible n=2.5": lambda: feasible("omni-2d", 2.5, 3),
+    "min_points m=2.5": lambda: min_points("omni-2d", 2.5),
+    "jet_min_points point_dim=2.5": lambda: jet_min_points(2.5, 3, 4, 0, 1, 3),
+    "forbidden_region n_max=2.5": lambda: forbidden_region("omni-2d", 2.5, 2),
+    "min_cameras n=True": lambda: min_cameras("omni-2d", True),
+    "jet_feasible m=3.0": lambda: jet_feasible(4, 3, 4, 0, 1, 7, 3.0),
+    "jet_min_cameras s=True": lambda: jet_min_cameras(4, 3, 4, 0, True),
+    "anchored_slack m='2'": lambda: anchored_slack("omni-2d", 3, "2"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_COUNTS))
+def test_counts_and_dimensions_must_be_integers(case):
+    with pytest.raises(ValueError, match="must be integers"):
+        NON_INTEGER_COUNTS[case]()
+
+
 def test_two_camera_table():
     # m = 2, spatial classes
     assert min_points("affine-ortho-3d", 2) == 4

@@ -5,9 +5,9 @@ import pytest
 
 from sfmlab.cameras import Camera, catalog_lookup
 from sfmlab.errors import InfeasibleCountError
+from sfmlab import reconstruct
 from sfmlab.reconstruct import (
     GaugeChart,
-    SolveOptions,
     gauge_fix,
     gauge_fix_jet,
     local_uniqueness,
@@ -107,11 +107,12 @@ def test_gauge_of_another_scene_size_is_rejected():
     a = random_scene(cls, 3, 3, seed=1)
     other = gauge_fix(cls, random_scene(cls, 4, 3, seed=1))
     with pytest.raises(ValueError, match="gauge does not match the scene"):
-        solve(cls, evaluate(a), a, gauge=other)
-    with pytest.raises(ValueError, match="gauge does not match the scene"):
         local_uniqueness(a, other)
     for indices, dim in [((-1,), 4), ((0, 99), 10)]:
         with pytest.raises(ValueError, match="dim"):
+            GaugeChart(indices, [0.0] * len(indices), dim)
+    for indices, dim in [((1.5,), 4), ((True,), 4), ((0, 2.0), 4), ((0,), 4.5)]:
+        with pytest.raises(ValueError, match="integers"):
             GaugeChart(indices, [0.0] * len(indices), dim)
 
 
@@ -165,13 +166,19 @@ def test_solve_cost_history_never_increases():
 
 
 def test_gauge_independence_of_the_reconstruction():
+    """Listing the points in another order makes another point the gauge
+    anchor; the reconstruction is the same modulo the group."""
     cls = catalog_lookup("omni-oriented-2d")
     truth = random_scene(cls, 3, 3, seed=98)
     meas = evaluate(truth)
     init = perturb_scene(truth, 0.05, seed=99)
-    rep1 = solve(cls, meas, init, gauge=gauge_fix(cls, init, anchor_point=0))
-    rep2 = solve(cls, meas, init, gauge=gauge_fix(cls, init, anchor_point=1))
-    _, rmse = align(rep1.scene, rep2.scene)
+    rep1 = solve(cls, meas, init)
+    perm = np.array([1, 2, 0])  # point 1 is the anchor, point 2 the next pool
+    rep2 = solve(cls, Measurements(cls, meas.data[perm]),
+                 Scene(cls, init.points[perm], init.params, init.globals_vec))
+    back = np.argsort(perm)
+    _, rmse = align(rep1.scene, Scene(cls, rep2.scene.points[back], rep2.scene.params,
+                                      rep2.scene.globals_vec))
     assert rmse < 1e-6
 
 
@@ -229,11 +236,12 @@ def test_jet_solver_rejects_four_cameras():
         solve_jet(evaluate_jet(truth), truth)
 
 
-def test_solver_options_cap_iterations():
+def test_solver_options_cap_iterations(monkeypatch):
     cls = catalog_lookup("omni-2d")
     truth = random_scene(cls, 5, 3, seed=123)
     init = perturb_scene(truth, 0.10, seed=124)
-    report = solve(cls, evaluate(truth), init, options=SolveOptions(max_iterations=2))
+    monkeypatch.setattr(reconstruct, "MAX_ITERATIONS", 2)
+    report = solve(cls, evaluate(truth), init)
     assert report.iterations <= 2
 
 
