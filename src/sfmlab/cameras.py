@@ -329,15 +329,8 @@ class Camera:
     params: np.ndarray
 
     def __post_init__(self):
-        params = np.asarray(self.params, dtype=float).copy()
-        if params.shape != (self.cls.f,):
-            raise ValueError(
-                f"{self.cls.name} expects {self.cls.f} parameters, got shape {params.shape}"
-            )
-        if not np.isfinite(params).all():
-            raise ValueError("camera parameters must be finite")
-        params.flags.writeable = False
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", checked_array(f"{self.cls.name} camera parameters",
+                                                         self.params, (self.cls.f,)))
 
 
 _CATALOG: tuple[CameraClass, ...] = (
@@ -391,14 +384,29 @@ def catalog_lookup(name: str) -> CameraClass:
         raise UnknownClassError(f"unknown camera class {name!r}; known: {known}") from None
 
 
+def checked_array(what: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a read-only, C-ordered float copy of shape ``shape``, where
+    a None axis takes any length >= 1. A wrong rank or shape or a non-finite
+    entry raises ValueError naming ``what``."""
+    a = np.asarray(value, dtype=float).copy()
+    if a.ndim != len(shape) or not all(map(_fits, shape, a.shape)):
+        want = ", ".join("k" if w is None else str(w) for w in shape)
+        where = " with every k >= 1" if None in shape else ""
+        raise ValueError(f"{what} must have shape ({want}){where}, got {a.shape}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:  # faster than .all() on small arrays
+        raise ValueError(f"{what} must be finite")
+    a.flags.writeable = False
+    return a
+
+
+def _fits(want: int | None, length: int) -> bool:
+    return length >= 1 if want is None else length == want
+
+
 def checked_globals(cls: CameraClass, globals_vec) -> np.ndarray:
     """The ``h`` shared scene-level parameters of ``cls``; None means none."""
-    g = np.zeros(0) if globals_vec is None else np.asarray(globals_vec, dtype=float).reshape(-1)
-    if g.size != cls.h:
-        raise ValueError(f"{cls.name} expects {cls.h} scene-level parameter(s), got {g.size}")
-    if not np.isfinite(g).all():
-        raise ValueError("scene-level parameters must be finite")
-    return g
+    return checked_array(f"{cls.name} scene-level parameters",
+                         () if globals_vec is None else globals_vec, (cls.h,))
 
 
 def _check_regular(bad: np.ndarray, reason: str) -> None:
@@ -411,7 +419,7 @@ def _check_regular(bad: np.ndarray, reason: str) -> None:
 def project_points(camera: Camera, globals_vec, points: np.ndarray) -> np.ndarray:
     """Chart coordinates of several points under one camera, shape (n, s)."""
     cls = camera.cls
-    pts = np.asarray(points, dtype=float).reshape(-1, cls.d)
+    pts = checked_array("points", points, (None, cls.d))
     try:
         return cls.project(camera.params[None], checked_globals(cls, globals_vec), pts[None])[0]
     except SingularConfigurationError as exc:  # a lone camera has no index
@@ -420,7 +428,8 @@ def project_points(camera: Camera, globals_vec, points: np.ndarray) -> np.ndarra
 
 def project(camera: Camera, globals_vec, point) -> np.ndarray:
     """Chart coordinates of one point, length ``s``."""
-    return project_points(camera, globals_vec, np.asarray(point, dtype=float)[None, :])[0]
+    point = checked_array("point", point, (camera.cls.d,))
+    return project_points(camera, globals_vec, point[None])[0]
 
 
 def embed(camera: Camera, globals_vec, r) -> np.ndarray:
@@ -443,7 +452,7 @@ def singular_margin(camera: Camera, globals_vec, point) -> float:
     """Distance from ``point`` to the camera's singular set (inf if none)."""
     cls = camera.cls
     return cls.singular_margin(camera.params, checked_globals(cls, globals_vec),
-                               np.asarray(point, dtype=float))
+                               checked_array("point", point, (cls.d,)))
 
 
 def random_camera(cls: CameraClass, seed) -> Camera:

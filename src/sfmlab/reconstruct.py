@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .cameras import CameraClass
+from .cameras import CameraClass, checked_array
 from .counting import checked_ints, jet_feasible
 from .errors import DegenerateConfigurationError, InfeasibleCountError
 # evaluate_jet and jet_generators stay bound here although unused:
@@ -43,15 +43,12 @@ class GaugeChart:
     dim: int  # full coordinate count
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        if vals.size != len(self.indices):
-            raise ValueError("one pinned value per pinned index required")
+        vals = checked_array("pinned values", self.values, (len(self.indices),))
         checked_ints("pinned indices and dim", self.dim, *self.indices)
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("pinned indices must be distinct")
         if not all(0 <= i < self.dim for i in self.indices):
             raise ValueError("pinned indices must lie in [0, dim)")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property

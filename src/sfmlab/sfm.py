@@ -18,23 +18,13 @@ from typing import ClassVar
 import numpy as np
 
 from . import geometry
-from .cameras import SPREAD, Camera, CameraClass, checked_globals
+from .cameras import SPREAD, Camera, CameraClass, checked_array, checked_globals
+from .counting import checked_ints
 from .errors import DegenerateConfigurationError
 
 FD_STEP = 1e-6  # central-difference step of every finite-difference Jacobian
 MAX_DRAWS = 100  # scenes a sampler draws before it gives up
 JET_OMEGA = 0.7  # angular velocity of every sampled circle jet
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float).copy()
-    a.flags.writeable = False
-    return a
-
-
-def _check_finite(name: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
 
 
 def _split_vector(cls: CameraClass, block_shape: tuple, m: int, vec) -> tuple:
@@ -68,13 +58,10 @@ class _SceneLayout:
             params = tuple(params)
             if not all(isinstance(c, Camera) and c.cls.name == cls.name for c in params):
                 raise ValueError(f"cameras must be {cls.name} Camera objects or an (m, f) array")
-            params = np.array([c.params for c in params]).reshape(-1, cls.f)
-        params = np.asarray(params, dtype=float)
-        if params.ndim != 2 or params.shape[1] != cls.f or params.shape[0] < 1:
-            raise ValueError(f"{cls.name} needs m >= 1 cameras, parameters of shape (m, {cls.f})")
-        _check_finite("camera parameters", params)
-        object.__setattr__(self, "params", _freeze(params))
-        object.__setattr__(self, "globals_vec", _freeze(checked_globals(cls, self.globals_vec)))
+            params = [c.params for c in params]
+        object.__setattr__(self, "params", checked_array(f"{cls.name} camera parameters", params,
+                                                         (None, cls.f)))
+        object.__setattr__(self, "globals_vec", checked_globals(cls, self.globals_vec))
 
     @property
     def m(self) -> int:
@@ -130,12 +117,8 @@ class Scene(_SceneLayout):
     model: ClassVar[str] = "static"  # the order-0 motion law; align compares models
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.cls.d or pts.shape[0] < 1:
-            raise ValueError(f"points must have shape (n, {self.cls.d}) with n >= 1")
-        _check_finite("points", pts)
+        object.__setattr__(self, "points", checked_array("points", self.points, (None, self.cls.d)))
         self._check_cameras()
-        object.__setattr__(self, "points", _freeze(pts))
 
     @property
     def n(self) -> int:
@@ -172,12 +155,8 @@ class Measurements:
     data: np.ndarray  # (n, m, s)
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        if d.ndim != 3 or d.shape[2] != self.cls.s:
-            raise ValueError(f"data must have shape (n, m, {self.cls.s})")
-        if not np.isfinite(d).all():
-            raise ValueError("measurements must be finite")
-        object.__setattr__(self, "data", _freeze(d))
+        object.__setattr__(self, "data", checked_array("measurements", self.data,
+                                                       (None, None, self.cls.s)))
 
     @property
     def n(self) -> int:
@@ -213,29 +192,22 @@ class JetScene(_SceneLayout):
     def __post_init__(self):
         if self.model not in ("circle", "taylor"):
             raise ValueError(f"unknown motion model {self.model!r}")
-        motion = np.asarray(self.motion, dtype=float)
-        times = np.asarray(self.times, dtype=float).reshape(-1)
-        _check_finite("motion", motion)
-        _check_finite("times", times)
-        if not math.isfinite(self.omega):
-            raise ValueError("omega must be finite")
         if self.model == "circle":
             if self.cls.d != 2:
                 raise ValueError("the circle motion model is planar")
-            if motion.ndim != 2 or motion.shape[1] != 4 or motion.shape[0] < 1:
-                raise ValueError("circle motion rows are [cx, cy, rx, ry]")
+            motion = checked_array("circle motion rows [cx, cy, rx, ry]", self.motion, (None, 4))
             if np.any(np.linalg.norm(motion[:, 2:], axis=1) < 1e-12):
                 raise ValueError("circle radius vectors must be nonzero")
         else:
-            if motion.ndim != 3 or motion.shape[2] != self.cls.d or motion.shape[0] < 1:
-                raise ValueError("taylor motion must have shape (n, k+1, d)")
+            motion = checked_array("taylor motion", self.motion, (None, None, self.cls.d))
+        if not math.isfinite(self.omega):
+            raise ValueError("omega must be finite")
+        object.__setattr__(self, "motion", motion)
         self._check_cameras()
-        if times.size != self.m:
-            raise ValueError("one shot time per camera required")
+        times = checked_array("shot times", self.times, (self.m,))
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "motion", _freeze(motion))
-        object.__setattr__(self, "times", _freeze(times))
+        object.__setattr__(self, "times", times)
 
     @property
     def n(self) -> int:
@@ -342,7 +314,8 @@ def numerical_rank(mat: np.ndarray, rel_tol: float | None = None) -> RankReport:
         raise ValueError("empty matrix has no rank report")
     if mat.ndim != 2:
         raise ValueError(f"rank needs a 2-D matrix, got shape {mat.shape}")
-    _check_finite("matrix", [mat.min(), mat.max()])  # a nan or inf reaches them, without a copy
+    if not np.isfinite([mat.min(), mat.max()]).all():  # a nan or inf reaches them, without a copy
+        raise ValueError("matrix must be finite")
     if rel_tol is None:
         rel_tol = 1e-8 * max(mat.shape)
     if not 0.0 < rel_tol < 1.0:
@@ -401,6 +374,7 @@ def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
     cameras are placed outside the point cloud looking at it, so every point
     sits safely in front of the film.
     """
+    n, m = checked_ints("counts", n, m)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 points and m >= 1 cameras")
 
@@ -414,6 +388,7 @@ def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
 def random_jet_scene(cls: CameraClass, n: int, m: int, seed) -> JetScene:
     """Deterministic circle-motion scene observed by planar cameras, with
     shared parameters, camera placement and margins as in ``random_scene``."""
+    n, m = checked_ints("counts", n, m)
     if cls.d != 2:
         raise ValueError("circle jets are planar")
     times = 0.35 * np.arange(m)
@@ -437,6 +412,7 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     The rank can only drop on thin subsets of configuration space, so the max
     over independent draws estimates the generic value.
     """
+    (trials,) = checked_ints("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     reports = [

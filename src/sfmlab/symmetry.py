@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .cameras import Camera, CameraClass
+from .cameras import Camera, CameraClass, checked_array
 from .errors import DegenerateConfigurationError, GroupMismatchError
 from .sfm import JetScene, Scene, fd_jacobian
 
@@ -31,22 +31,14 @@ class GroupElement:
     translation: np.ndarray  # (d,)
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float)
-        v = np.asarray(self.translation, dtype=float).reshape(-1)
-        if R.shape != (v.size, v.size):
-            raise ValueError("rotation and translation dimensions disagree")
-        if not (np.isfinite(self.scale) and np.isfinite(R).all() and np.isfinite(v).all()):
-            raise ValueError("scale, rotation and translation must be finite")
+        v = checked_array("translation", self.translation, (None,))
+        R = checked_array("rotation", self.rotation, (v.size, v.size))
         if np.max(np.abs(R.T @ R - np.eye(v.size))) > _ORTHO_TOL or np.linalg.det(R) < 0:
             raise ValueError("rotation must be orthogonal with determinant +1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        Rc = R.copy()
-        Rc.flags.writeable = False
-        vc = v.copy()
-        vc.flags.writeable = False
-        object.__setattr__(self, "rotation", Rc)
-        object.__setattr__(self, "translation", vc)
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be positive and finite")
+        object.__setattr__(self, "rotation", R)
+        object.__setattr__(self, "translation", v)
 
     @property
     def d(self) -> int:

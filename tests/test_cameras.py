@@ -12,7 +12,9 @@ from sfmlab.cameras import (
     catalog_lookup,
     embed,
     project,
+    project_points,
     random_camera,
+    singular_margin,
 )
 from sfmlab.errors import ChartRangeError, SingularConfigurationError, UnknownClassError
 
@@ -170,6 +172,16 @@ def test_singular_configurations_raise():
     persp = Camera(catalog_lookup("perspective-known-3d"), np.zeros(6))
     with pytest.raises(SingularConfigurationError):
         project(persp, None, [0.3, 0.1, -1.0])  # on the projection-center plane
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_single_camera_functions_reject_non_finite_points(bad):
+    cam = random_camera(catalog_lookup("omni-2d"), 1)
+    with pytest.raises(ValueError, match="finite"):
+        project_points(cam, None, [[bad, 0.0]])
+    for single in (project, camera_map, singular_margin):
+        with pytest.raises(ValueError, match="finite"):
+            single(cam, None, [bad, 0.0])
 
 
 def test_embed_chart_range_errors():

@@ -15,6 +15,7 @@ from sfmlab.counting import (
     min_cameras,
     min_points,
 )
+from sfmlab.sfm import generic_rank, random_jet_scene, random_scene
 
 from conftest import ALL_CLASS_NAMES
 
@@ -79,6 +80,9 @@ NON_INTEGER_COUNTS = {
     "jet_feasible m=3.0": lambda: jet_feasible(4, 3, 4, 0, 1, 7, 3.0),
     "jet_min_cameras s=True": lambda: jet_min_cameras(4, 3, 4, 0, True),
     "anchored_slack m='2'": lambda: anchored_slack("omni-2d", 3, "2"),
+    "random_scene n=2.5": lambda: random_scene(catalog_lookup("omni-2d"), 2.5, 3, 0),
+    "random_jet_scene m=2.0": lambda: random_jet_scene(catalog_lookup("omni-2d"), 3, 2.0, 0),
+    "generic_rank trials=True": lambda: generic_rank(catalog_lookup("omni-2d"), 3, 3, trials=True),
 }
 
 

@@ -88,6 +88,9 @@ def test_reprojection_rmse_shape_mismatch():
     b = random_scene(cls, 4, 3, seed=2)
     with pytest.raises(ValueError):
         reprojection_rmse(a, evaluate(b))
+    for empty in (np.zeros((0, 3, 1)), np.zeros((3, 0, 1))):
+        with pytest.raises(ValueError, match="k >= 1"):
+            Measurements(cls, empty)
 
 
 def test_measurements_of_another_class_are_rejected():
@@ -114,6 +117,9 @@ def test_gauge_of_another_scene_size_is_rejected():
     for indices, dim in [((1.5,), 4), ((True,), 4), ((0, 2.0), 4), ((0,), 4.5)]:
         with pytest.raises(ValueError, match="integers"):
             GaugeChart(indices, [0.0] * len(indices), dim)
+    for values in ([np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            GaugeChart((0,), values, 3)
 
 
 @pytest.mark.parametrize("name,n,m", [
