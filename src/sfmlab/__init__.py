@@ -51,7 +51,6 @@ from .reconstruct import (
 from .sfm import (
     GenericRankReport,
     JetScene,
-    KernelCheckReport,
     Measurements,
     RankReport,
     Scene,
@@ -60,7 +59,6 @@ from .sfm import (
     generic_rank,
     jacobian,
     jet_position,
-    kernel_check,
     numerical_rank,
     predicted_rank,
     random_jet_scene,
@@ -68,8 +66,8 @@ from .sfm import (
 )
 from .symmetry import (
     GroupElement,
+    KernelCheckReport,
     act_camera,
-    act_jet_scene,
     act_point,
     act_scene,
     align,
@@ -77,6 +75,7 @@ from .symmetry import (
     generators,
     identity,
     jet_generators,
+    kernel_check,
     random_element,
 )
 

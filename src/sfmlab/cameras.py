@@ -29,14 +29,22 @@ SINGULAR_CUTOFF = 1e-9
 SPREAD = 2.0  # sampled points fill [-SPREAD, SPREAD]^d
 POLE_MARGIN = 1e-3  # rejection radius around angle-chart poles, radians
 
+# Symmetry groups by name: (rotates, scales). Every group translates.
+GROUPS: dict[str, tuple[bool, bool]] = {
+    "euclidean": (True, False),
+    "dilation": (False, True),
+    "similarity": (True, True),
+}
+
 
 @dataclass(frozen=True)
 class CameraClass:
     """Catalog entry for one camera family in one ambient dimension.
 
     ``d`` ambient dimension, ``s`` retinal dimension, ``f`` per-camera
-    parameter count, ``g`` symmetry group dimension, ``h`` number of shared
-    scene-level parameters.
+    parameter count, ``h`` number of shared scene-level parameters, ``group``
+    a key of ``GROUPS``; the symmetry group dimension ``g`` follows from
+    ``d`` and the group.
 
     Subclasses implement ``project(P, glob, X)`` (chart coordinates of the
     positions X of shape (m, n, d) under the cameras with parameter rows P of
@@ -50,9 +58,8 @@ class CameraClass:
     d: int
     s: int
     f: int
-    g: int
     h: int
-    group: str  # euclidean | dilation | similarity
+    group: str
     chart_doc: str
     kind: ClassVar[str]
     # Subclasses override these with the indices their parameter vector has.
@@ -64,6 +71,13 @@ class CameraClass:
     @property
     def rot_dim(self) -> int:
         return 1 if self.d == 2 else 3
+
+    @property
+    def g(self) -> int:
+        """Dimension of the symmetry group: translations, then rotations and
+        the scaling where the group has them."""
+        rotates, scales = GROUPS[self.group]
+        return self.d + self.rot_dim * rotates + scales
 
     @property
     def angular_param_indices(self) -> tuple[int, ...]:
@@ -131,8 +145,12 @@ class OmniClass(CameraClass):
     ones read directions in the world frame.
     """
 
-    oriented: bool = True
     kind: ClassVar[str] = "omni"
+
+    @property
+    def oriented(self) -> bool:
+        """Whether the parameters are the center alone, without a rotation."""
+        return self.f == self.d
 
     @property
     def rotation_slice(self) -> slice | None:
@@ -206,16 +224,22 @@ class PerspectiveClass(CameraClass):
     """Pinhole projection onto a film plane that passes through the camera
     position, with the projection center one focal length behind the film.
 
-    The focal length is a fixed constant (``known``), a scene-level shared
-    parameter (``global``), or a per-camera parameter (``zoom``). Known and
+    The focal length is a fixed constant (``known``), the scene-level shared
+    parameter (``global``), or the last per-camera parameter (``zoom``). Known and
     global cameras measure film offsets in absolute units; zoom cameras
     measure them in units of their own focal length, which is what makes a
     joint rescaling of scene and focal lengths invisible to them.
     """
 
-    focal_mode: str = "known"  # known | global | zoom
     known_focal: ClassVar[float] = 1.0
     kind: ClassVar[str] = "perspective"
+
+    @property
+    def focal_mode(self) -> str:
+        """Where the focal length lives: ``zoom``, ``global`` or ``known``."""
+        if self.f == self.d + self.rot_dim + 1:
+            return "zoom"
+        return "global" if self.h == 1 else "known"
 
     @property
     def rotation_slice(self) -> slice:
@@ -334,38 +358,30 @@ class Camera:
 
 
 _CATALOG: tuple[CameraClass, ...] = (
-    AffineClass("affine-ortho-2d", 2, 1, 2, 3, 0, "euclidean",
+    AffineClass("affine-ortho-2d", 2, 1, 2, 0, "euclidean",
                 "params = [orientation angle, retina offset]"),
-    OmniClass("omni-oriented-2d", 2, 1, 2, 3, 0, "dilation",
-              "params = [center x, center y]", oriented=True),
-    OmniClass("omni-2d", 2, 1, 3, 4, 0, "similarity",
-              "params = [center x, center y, heading angle]", oriented=False),
-    PerspectiveClass("perspective-2d", 2, 1, 3, 3, 1, "euclidean",
-                     "params = [position x, position y, orientation angle]; shared focal length",
-                     focal_mode="global"),
-    PerspectiveClass("perspective-zoom-2d", 2, 1, 4, 4, 0, "similarity",
-                     "params = [position x, position y, orientation angle, focal length]",
-                     focal_mode="zoom"),
-    AffineClass("affine-ortho-3d", 3, 2, 5, 6, 0, "euclidean",
+    OmniClass("omni-oriented-2d", 2, 1, 2, 0, "dilation", "params = [center x, center y]"),
+    OmniClass("omni-2d", 2, 1, 3, 0, "similarity",
+              "params = [center x, center y, heading angle]"),
+    PerspectiveClass("perspective-2d", 2, 1, 3, 1, "euclidean",
+                     "params = [position x, position y, orientation angle]; shared focal length"),
+    PerspectiveClass("perspective-zoom-2d", 2, 1, 4, 0, "similarity",
+                     "params = [position x, position y, orientation angle, focal length]"),
+    AffineClass("affine-ortho-3d", 3, 2, 5, 0, "euclidean",
                 "params = [orientation (3, exponential), retina offset (2)]"),
-    OmniClass("omni-oriented-3d", 3, 2, 3, 4, 0, "dilation",
-              "params = [center (3)]", oriented=True),
-    OmniClass("omni-3d", 3, 2, 6, 7, 0, "similarity",
-              "params = [center (3), orientation (3, exponential)]", oriented=False),
-    PerspectiveClass("perspective-3d", 3, 2, 6, 6, 1, "euclidean",
-                     "params = [position (3), orientation (3, exponential)]; shared focal length",
-                     focal_mode="global"),
-    PerspectiveClass("perspective-zoom-3d", 3, 2, 7, 7, 0, "similarity",
-                     "params = [position (3), orientation (3, exponential), focal length]",
-                     focal_mode="zoom"),
-    LineClass("line-3d", 3, 1, 3, 6, 0, "euclidean",
+    OmniClass("omni-oriented-3d", 3, 2, 3, 0, "dilation", "params = [center (3)]"),
+    OmniClass("omni-3d", 3, 2, 6, 0, "similarity",
+              "params = [center (3), orientation (3, exponential)]"),
+    PerspectiveClass("perspective-3d", 3, 2, 6, 1, "euclidean",
+                     "params = [position (3), orientation (3, exponential)]; shared focal length"),
+    PerspectiveClass("perspective-zoom-3d", 3, 2, 7, 0, "similarity",
+                     "params = [position (3), orientation (3, exponential), focal length]"),
+    LineClass("line-3d", 3, 1, 3, 0, "euclidean",
               "params = [direction azimuth, direction polar angle, chart offset]"),
-    PerspectiveClass("perspective-known-2d", 2, 1, 3, 3, 0, "euclidean",
-                     "params = [position x, position y, orientation angle]; focal length fixed at 1",
-                     focal_mode="known"),
-    PerspectiveClass("perspective-known-3d", 3, 2, 6, 6, 0, "euclidean",
-                     "params = [position (3), orientation (3, exponential)]; focal length fixed at 1",
-                     focal_mode="known"),
+    PerspectiveClass("perspective-known-2d", 2, 1, 3, 0, "euclidean",
+                     "params = [position x, position y, orientation angle]; focal length fixed at 1"),
+    PerspectiveClass("perspective-known-3d", 3, 2, 6, 0, "euclidean",
+                     "params = [position (3), orientation (3, exponential)]; focal length fixed at 1"),
 )
 
 _BY_NAME = {c.name: c for c in _CATALOG}

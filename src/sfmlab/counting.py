@@ -27,9 +27,9 @@ REFERENCE_COUNT_NOTES: dict[tuple[str, int], int] = {
     ("perspective-zoom-2d", 4): 7,  # inequality gives 6
 }
 
-# Planar circle-motion preset: 4 motion coefficients per point, cameras with
-# 3 parameters and the 4-dimensional similarity group, scalar measurements.
-CIRCLE_PRESET = {"point_dim": 4, "f": 3, "g": 4, "h": 0, "s": 1}
+# Planar circle-motion preset: 4 motion coefficients per point seen by omni-2d
+# cameras, whose catalog row gives the other counts.
+CIRCLE_PRESET = {"point_dim": 4, **{k: getattr(catalog_lookup("omni-2d"), k) for k in "fghs"}}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .cameras import CameraClass, checked_array
+from .cameras import GROUPS, CameraClass, checked_array
 from .counting import checked_ints, jet_feasible
 from .errors import DegenerateConfigurationError, InfeasibleCountError
 # evaluate_jet and jet_generators stay bound here although unused:
@@ -56,11 +56,6 @@ class GaugeChart:
         m = np.zeros(self.dim, dtype=bool)
         m[list(self.indices)] = True
         return m
-
-    def clamp(self, vec: np.ndarray) -> np.ndarray:
-        out = np.asarray(vec, dtype=float).copy()
-        out[list(self.indices)] = self.values
-        return out
 
 
 def _greedy_pins(G: np.ndarray, forced: list[int], pools: list[list[int]], g: int) -> list[int]:
@@ -116,7 +111,8 @@ def gauge_fix(cls: CameraClass, template: Scene | JetScene) -> GaugeChart:
     G = generators(cls, template)
     points, cams = template.columns()
     forced = points[0, :cls.d].tolist()
-    if cls.group in ("euclidean", "similarity"):
+    rotates, _ = GROUPS[cls.group]
+    if rotates:
         forced += cams[0, cls.rotation_slice].tolist()
     pools = [points[0, cls.d:].tolist(), points[1 % template.n, :cls.d].tolist(),
              list(range(template.dim))]
@@ -218,7 +214,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
     target = measurements.data.ravel()
     wrap = init.output_angle_mask
     free = ~gauge.mask
-    base = gauge.clamp(init.to_vector())
+    base = init.to_vector()  # already holds the pinned values
 
     def residual(x_free):
         vec = base.copy()

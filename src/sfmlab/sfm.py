@@ -422,31 +422,3 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     ranks = tuple(r.rank for r in reports)
     best = max(reports, key=lambda r: (r.rank, r.gap))
     return GenericRankReport(cls.name, n, m, ranks, max(ranks), best)
-
-
-@dataclass(frozen=True)
-class KernelCheckReport:
-    """Relative residuals of the symmetry directions under the Jacobian."""
-
-    ratios: np.ndarray  # one per generator column
-    tol: float
-    passed: bool
-
-    @property
-    def worst(self) -> float:
-        return float(np.max(self.ratios))
-
-
-def kernel_check(scene, tol: float = 1e-5) -> KernelCheckReport:
-    """Verify that every symmetry generator is annihilated by the Jacobian.
-
-    Checks |J v| <= tol * |J| * |v| for each generator column v; directions
-    that change the pictures fail the bound.
-    """
-    from .symmetry import generators
-
-    J = jacobian(scene)
-    G = generators(scene.cls, scene)
-    jnorm = float(np.linalg.norm(J, 2))
-    ratios = np.linalg.norm(J @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))
-    return KernelCheckReport(ratios, tol, bool(np.all(ratios <= tol)))

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .cameras import Camera, CameraClass, checked_array
+from .cameras import GROUPS, Camera, CameraClass, checked_array
 from .errors import DegenerateConfigurationError, GroupMismatchError
-from .sfm import JetScene, Scene, fd_jacobian
+from .sfm import JetScene, Scene, fd_jacobian, jacobian
 
 _ORTHO_TOL = 1e-10
+KERNEL_TOL = 1e-5  # largest relative residual |J v| / (|J| |v|) of a symmetry direction v
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,6 @@ class GroupElement:
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", v)
 
-    @property
-    def d(self) -> int:
-        return self.translation.size
-
 
 def identity(d: int) -> GroupElement:
     return GroupElement(1.0, np.eye(d), np.zeros(d))
@@ -60,9 +57,10 @@ def act_points(gamma: GroupElement, points) -> np.ndarray:
 
 
 def _check_group(gamma: GroupElement, cls: CameraClass):
-    if cls.group == "euclidean" and abs(gamma.scale - 1.0) > 1e-12:
+    rotates, scales = GROUPS[cls.group]
+    if not scales and abs(gamma.scale - 1.0) > 1e-12:
         raise GroupMismatchError(f"{cls.name} admits no scaling (scale={gamma.scale})")
-    if cls.group == "dilation" and np.max(np.abs(gamma.rotation - np.eye(cls.d))) > 1e-12:
+    if not rotates and np.max(np.abs(gamma.rotation - np.eye(cls.d))) > 1e-12:
         raise GroupMismatchError(f"{cls.name} admits no rotations")
 
 
@@ -86,33 +84,25 @@ def act_scene(gamma: GroupElement, scene: Scene | JetScene) -> Scene | JetScene:
     return scene.with_coefficients(moved, np.array(params))
 
 
-act_jet_scene = act_scene
-
-
 def random_element(group: str, d: int, seed) -> GroupElement:
     """Deterministic random group element: rotation uniform, translation in
     [-5, 5]^d, scale in [0.5, 2] where the group allows each generator."""
-    rng = np.random.default_rng(seed)
-    lam = float(rng.uniform(0.5, 2.0)) if group in ("dilation", "similarity") else 1.0
-    if group in ("euclidean", "similarity"):
-        R = geometry.rotation_matrix(d, geometry.random_rotation_coords(d, rng))
-    else:
-        R = np.eye(d)
-    v = rng.uniform(-5.0, 5.0, size=d)
-    if group not in ("euclidean", "dilation", "similarity"):
+    if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
-    return GroupElement(lam, R, v)
+    rotates, scales = GROUPS[group]
+    rng = np.random.default_rng(seed)
+    lam = float(rng.uniform(0.5, 2.0)) if scales else 1.0
+    R = (geometry.rotation_matrix(d, geometry.random_rotation_coords(d, rng)) if rotates
+         else np.eye(d))
+    return GroupElement(lam, R, rng.uniform(-5.0, 5.0, size=d))
 
 
 def _element(group: str, d: int, t: np.ndarray) -> GroupElement:
     """Group element with coordinates ``t``: d translations, then the
     rotation chart where the group rotates, then the log of the scale where
     it scales."""
-    rot = d * (d - 1) // 2 if group in ("euclidean", "similarity") else 0
-    scales = group in ("dilation", "similarity")
-    if t.size != d + rot + scales:
-        raise AssertionError("generator count does not match the group dimension")
-    coords = t[d : d + rot]
+    rotates, scales = GROUPS[group]
+    coords = t[d : d + rotates * d * (d - 1) // 2]
     R = geometry.rotation_matrix(d, coords) if np.any(coords) else np.eye(d)
     return GroupElement(float(np.exp(t[-1])) if scales else 1.0, R, t[:d])
 
@@ -146,6 +136,7 @@ def _matched_positions(scene) -> np.ndarray:
 
 def _procrustes(A: np.ndarray, B: np.ndarray, group: str) -> GroupElement:
     """Closed-form group element minimizing sum |gamma(A_k) - B_k|^2."""
+    rotates, scales = GROUPS[group]
     d = A.shape[1]
     a_bar = A.mean(axis=0)
     b_bar = B.mean(axis=0)
@@ -155,14 +146,8 @@ def _procrustes(A: np.ndarray, B: np.ndarray, group: str) -> GroupElement:
     if denom < 1e-20:
         raise DegenerateConfigurationError("alignment positions are coincident")
 
-    if group == "dilation":
-        R = np.eye(d)
-        lam = float(np.sum(A0 * B0)) / denom
-        if lam <= 0:
-            raise DegenerateConfigurationError("alignment would require a non-positive scale")
-    else:
-        H = B0.T @ A0
-        U, sig, Vt = np.linalg.svd(H)
+    if rotates:
+        U, sig, Vt = np.linalg.svd(B0.T @ A0)
         if sig[d - 2] <= 1e-12 * max(1.0, sig[0]):
             raise DegenerateConfigurationError(
                 "positions are affinely degenerate; rotation not identifiable"
@@ -170,12 +155,13 @@ def _procrustes(A: np.ndarray, B: np.ndarray, group: str) -> GroupElement:
         D = np.eye(d)
         D[-1, -1] = np.sign(np.linalg.det(U @ Vt)) or 1.0
         R = U @ D @ Vt
-        if group == "similarity":
-            lam = float(np.trace(np.diag(sig) @ D)) / denom
-            if lam <= 0:
-                raise DegenerateConfigurationError("alignment would require a non-positive scale")
-        else:
-            lam = 1.0
+        stretch = float(np.trace(np.diag(sig) @ D))  # sum of B0 . (R A0)
+    else:
+        R = np.eye(d)
+        stretch = float(np.sum(A0 * B0))
+    lam = stretch / denom if scales else 1.0
+    if lam <= 0:
+        raise DegenerateConfigurationError("alignment would require a non-positive scale")
     v = b_bar - lam * (R @ a_bar)
     return GroupElement(lam, R, v)
 
@@ -198,3 +184,29 @@ def align(a: Scene | JetScene, b: Scene | JetScene) -> tuple[GroupElement, float
 
 
 align_jet = align
+
+
+@dataclass(frozen=True)
+class KernelCheckReport:
+    """Relative residuals of the symmetry directions under the Jacobian."""
+
+    ratios: np.ndarray  # one per generator column
+    tol: float
+    passed: bool
+
+    @property
+    def worst(self) -> float:
+        return float(np.max(self.ratios))
+
+
+def kernel_check(scene: Scene | JetScene) -> KernelCheckReport:
+    """Verify that every symmetry generator is annihilated by the Jacobian.
+
+    Checks |J v| <= KERNEL_TOL * |J| * |v| for each generator column v;
+    directions that change the pictures fail the bound.
+    """
+    J = jacobian(scene)
+    G = generators(scene.cls, scene)
+    jnorm = float(np.linalg.norm(J, 2))
+    ratios = np.linalg.norm(J @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))
+    return KernelCheckReport(ratios, KERNEL_TOL, bool(np.all(ratios <= KERNEL_TOL)))

@@ -251,6 +251,29 @@ def test_solver_options_cap_iterations(monkeypatch):
     assert report.iterations <= 2
 
 
+def test_lm_stops_when_a_step_barely_lowers_the_cost():
+    """From x = 5e-8 the residual [x, 1] has cost 1 + 2.5e-15: the first step
+    lowers it by a share below COST_DECREASE_TOL, which counts as converged."""
+    x, iterations, converged, grad_norm, history = reconstruct._lm(
+        lambda x: np.array([x[0], 1.0]), np.array([5e-8]), np.zeros(2, dtype=bool))
+    assert iterations == 1 and converged
+    assert abs(x[0]) < 1e-10 and grad_norm < 1e-10
+    assert len(history) == 2 and history[1] < history[0]
+
+
+def test_lm_gives_up_when_the_damping_runs_out():
+    """At the kink x = 0 central differences give the residual 1 + x + 10|x|
+    slope 1, so every step goes left, where the residual 1 - 9x grows: each
+    damping up to 1e12 is rejected and the solver stops, unconverged, where it
+    started."""
+    x, iterations, converged, grad_norm, history = reconstruct._lm(
+        lambda x: np.array([1.0 + x[0] + 10.0 * abs(x[0])]), np.array([0.0]),
+        np.zeros(1, dtype=bool))
+    assert iterations == 1 and not converged
+    assert x.tolist() == [0.0] and history == (1.0,)
+    assert grad_norm > 0.5
+
+
 @pytest.mark.parametrize("name", ["omni-2d", "omni-oriented-2d", "omni-3d", "perspective-3d",
                                   "affine-ortho-3d"])
 def test_order_zero_taylor_scene_matches_its_static_scene(name):
@@ -258,7 +281,7 @@ def test_order_zero_taylor_scene_matches_its_static_scene(name):
     must give the static scene's pictures, Jacobian, orbits, pins, action and
     alignment."""
     from sfmlab.sfm import JetScene, jacobian
-    from sfmlab.symmetry import act_jet_scene, align_jet, generators, jet_generators
+    from sfmlab.symmetry import align_jet, generators, jet_generators
 
     cls = catalog_lookup(name)
     scene = random_scene(cls, 5, 3, seed=150)
@@ -270,7 +293,7 @@ def test_order_zero_taylor_scene_matches_its_static_scene(name):
     assert np.array_equal(jet_generators(js), generators(cls, scene))
     assert gauge_fix_jet(js).indices == gauge_fix(cls, scene).indices
     gamma = random_element(cls.group, cls.d, 151)
-    moved_js, moved = act_jet_scene(gamma, js), act_scene(gamma, scene)
+    moved_js, moved = act_scene(gamma, js), act_scene(gamma, scene)
     assert np.array_equal(moved_js.to_vector(), moved.to_vector())
     (g_js, rmse_js), (g, rmse) = align_jet(js, moved_js), align(scene, moved)
     assert rmse_js == rmse and g_js.scale == g.scale

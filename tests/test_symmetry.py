@@ -184,7 +184,7 @@ def test_align_with_noise_stays_bounded():
 
 def test_taylor_jet_action_and_alignment_round_trip():
     from sfmlab.sfm import JetScene, evaluate_jet, random_scene
-    from sfmlab.symmetry import act_jet_scene, align_jet
+    from sfmlab.symmetry import align_jet
 
     cls = catalog_lookup("omni-2d")
     base = random_scene(cls, 4, 3, seed=140)
@@ -193,7 +193,7 @@ def test_taylor_jet_action_and_alignment_round_trip():
     js = JetScene(cls, "taylor", motion, np.array([0.0, 0.4, 0.9]),
                   base.cams, base.globals_vec)
     gamma = random_element(cls.group, cls.d, 142)
-    moved = act_jet_scene(gamma, js)
+    moved = act_scene(gamma, js)
     # the action preserves every picture
     diff = evaluate_jet(moved).flat() - evaluate_jet(js).flat()
     assert np.max(np.abs(wrap_angle(diff))) < 1e-9
