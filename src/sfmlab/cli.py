@@ -25,7 +25,8 @@ JET_PRESET_CLASS = "omni-2d"
 
 def _cmd_catalog(args) -> int:
     rows = [
-        {"name": c.name, "d": c.d, "s": c.s, "f": c.f, "g": c.g, "h": c.h, "group": c.group}
+        {"name": c.name, "d": c.d, "s": c.s, "f": c.f, "g": c.g, "h": c.h, "group": c.group,
+         "chart": c.chart_doc}
         for c in catalog()
     ]
     if args.format == "json":

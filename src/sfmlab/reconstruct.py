@@ -30,6 +30,7 @@ from .sfm import (
     fd_jacobian,
     jacobian,
     numerical_rank,
+    single_columns,
 )
 from .symmetry import generators, jet_generators  # noqa: F401
 
@@ -156,7 +157,7 @@ def _lm(residual, x0: np.ndarray, wrap: np.ndarray):
     grad_norm = float("inf")
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        J = fd_jacobian(residual, x, r.size, wrap)
+        J = fd_jacobian(residual, x, r.size, wrap, single_columns(x.size))
         grad = J.T @ r
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < GRADIENT_TOL:

@@ -91,6 +91,23 @@ class _SceneLayout:
         cams = points.size + np.arange(self.m * self.cls.f).reshape(self.m, self.cls.f)
         return points, cams
 
+    def column_groups(self) -> list[tuple]:
+        """``fd_jacobian`` groups of the measurement map, point_dim + f + h of them.
+
+        Measurement (i, j) depends only on point i, camera j and the shared
+        parameters, so coefficient c of every point is one group, each column
+        reading the m*s rows of its point, and parameter k of every camera is
+        one group, each column reading the n*s rows of its camera (Curtis,
+        Powell & Reid 1974). Each shared parameter is a group of its own.
+        """
+        points, cams = self.columns()
+        rows = np.arange(self.n * self.m * self.cls.s).reshape(self.n, self.m, -1)
+        point_rows = rows.reshape(self.n, -1)
+        cam_rows = rows.swapaxes(0, 1).reshape(self.m, -1)
+        return ([(points[:, [c]], point_rows) for c in range(self.point_dim)]
+                + [(cams[:, [k]], cam_rows) for k in range(self.cls.f)]
+                + single_columns(self.dim)[points.size + cams.size:])
+
     @property
     def angle_mask(self) -> np.ndarray:
         """Coordinates that are angles and wrap at +-pi."""
@@ -263,32 +280,43 @@ def evaluate(scene: Scene | JetScene) -> Measurements:
 evaluate_jet = evaluate
 
 
-def fd_jacobian(fn, x: np.ndarray, rows: int, wrap: np.ndarray) -> np.ndarray:
+def fd_jacobian(fn, x: np.ndarray, rows: int, wrap: np.ndarray, groups) -> np.ndarray:
     """Central finite differences of ``fn`` at ``x``, shape (rows, x.size).
 
-    Outputs marked in ``wrap`` are angles: their differences are wrapped so
-    chart seams do not leak 2*pi jumps into the matrix.
+    Each group ``(cols, reads)`` costs one evaluation pair: it steps every
+    coordinate in ``cols`` at once and sets ``J[reads, cols]`` from the
+    difference, so its columns must move disjoint outputs; entries that no
+    group reads are 0. Outputs marked in ``wrap`` are angles: their
+    differences are wrapped so chart seams do not leak 2*pi jumps into the
+    matrix.
     """
-    J = np.empty((rows, x.size))
-    for k in range(x.size):
+    J = np.zeros((rows, x.size))
+    for cols, reads in groups:
         xp = x.copy()
-        xp[k] += FD_STEP
+        xp[cols] += FD_STEP
         xm = x.copy()
-        xm[k] -= FD_STEP
+        xm[cols] -= FD_STEP
         diff = fn(xp) - fn(xm)
         diff[wrap] = geometry.wrap_angle(diff[wrap])
-        J[:, k] = diff / (2.0 * FD_STEP)
+        J[reads, cols] = diff[reads] / (2.0 * FD_STEP)
     return J
+
+
+def single_columns(size: int) -> list[tuple]:
+    """``fd_jacobian`` groups of one column each, reading every row."""
+    return [(k, slice(None)) for k in range(size)]
 
 
 def jacobian(scene: Scene | JetScene) -> np.ndarray:
     """Central finite-difference Jacobian of the flattened measurement map.
 
     Rows follow the row-major (point, camera, chart component) order, columns
-    the scene coordinate vector.
+    the scene coordinate vector. Columns are taken in the groups of
+    ``column_groups``; the result equals the ``single_columns`` loop bit for bit.
     """
     return fd_jacobian(lambda v: evaluate(scene.with_vector(v)).flat(), scene.to_vector(),
-                       scene.cls.s * scene.n * scene.m, scene.output_angle_mask)
+                       scene.cls.s * scene.n * scene.m, scene.output_angle_mask,
+                       scene.column_groups())
 
 
 @dataclass(frozen=True)

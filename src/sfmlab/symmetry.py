@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .cameras import GROUPS, Camera, CameraClass, checked_array
 from .errors import DegenerateConfigurationError, GroupMismatchError
-from .sfm import JetScene, Scene, fd_jacobian, jacobian
+from .sfm import JetScene, Scene, fd_jacobian, jacobian, single_columns
 
 _ORTHO_TOL = 1e-10
 KERNEL_TOL = 1e-5  # largest relative residual |J v| / (|J| |v|) of a symmetry direction v
@@ -114,7 +114,7 @@ def generators(cls: CameraClass, scene: Scene | JetScene) -> np.ndarray:
     if scene.cls.name != cls.name:
         raise ValueError("scene class does not match")
     G = fd_jacobian(lambda t: act_scene(_element(cls.group, cls.d, t), scene).to_vector(),
-                    np.zeros(cls.g), scene.dim, scene.angle_mask)
+                    np.zeros(cls.g), scene.dim, scene.angle_mask, single_columns(cls.g))
     if not np.all(np.isfinite(G)):
         raise DegenerateConfigurationError("generators undefined at a singular scene")
     return G

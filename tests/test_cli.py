@@ -29,6 +29,7 @@ def test_catalog_json(capsys):
     assert len(rows) == 13
     row = next(r for r in rows if r["name"] == "omni-oriented-3d")
     assert (row["d"], row["s"], row["f"], row["g"], row["h"]) == (3, 2, 3, 4, 0)
+    assert all(isinstance(r["chart"], str) and r["chart"] for r in rows)
 
 
 def test_region_csv_and_svg(tmp_path, capsys):

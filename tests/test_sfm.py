@@ -211,6 +211,53 @@ def test_jacobian_step_consistency(monkeypatch):
         assert not np.array_equal(J5, J6)  # the patched step was used
 
 
+def _taylor_scene(n, m, seed):
+    """Order-2 Taylor jet of perspective-2d, which has a shared parameter."""
+    base = random_scene(catalog_lookup("perspective-2d"), n, m, seed=seed)
+    motion = np.random.default_rng(seed).normal(size=(n, 3, 2))
+    return JetScene(base.cls, "taylor", motion, 0.5 * np.arange(m), base.params,
+                    base.globals_vec)
+
+
+def _per_column_jacobian(scene):
+    """The measurement Jacobian with one evaluation pair per coordinate."""
+    return sfm.fd_jacobian(lambda v: evaluate(scene.with_vector(v)).flat(), scene.to_vector(),
+                           scene.cls.s * scene.n * scene.m, scene.output_angle_mask,
+                           sfm.single_columns(scene.dim))
+
+
+GROUPED_SCENES = (
+    [(c.name, n, m) for c in catalog() for n, m in ((10, 8), (1, 4), (6, 1))]
+    + [(f"circle {c.name}", 11, 5) for c in catalog() if c.d == 2]
+    + [("taylor", 7, 5)]
+)
+
+
+def _grouped_scene(kind, n, m, seed):
+    if kind == "taylor":
+        return _taylor_scene(n, m, seed)
+    if kind.startswith("circle "):
+        return random_jet_scene(catalog_lookup(kind.split()[1]), n, m, seed=seed)
+    return random_scene(catalog_lookup(kind), n, m, seed=seed)
+
+
+@pytest.mark.parametrize("kind,n,m", GROUPED_SCENES)
+def test_grouped_jacobian_equals_the_per_column_loop(kind, n, m):
+    scene = _grouped_scene(kind, n, m, seed=90)
+    assert np.array_equal(jacobian(scene), _per_column_jacobian(scene))
+
+
+@pytest.mark.parametrize("kind", [c.name for c in catalog()] + ["circle omni-2d", "taylor"])
+def test_jacobian_evaluations_do_not_grow_with_the_scene(kind, monkeypatch):
+    for n, m in ((3, 3), (12, 9)):
+        scene = _grouped_scene(kind, n, m, seed=91)
+        calls = []
+        monkeypatch.setattr(sfm, "evaluate", lambda s: calls.append(s) or evaluate(s))
+        jacobian(scene)
+        monkeypatch.undo()
+        assert len(calls) == 2 * (scene.point_dim + scene.cls.f + scene.cls.h)
+
+
 def test_numerical_rank_basics():
     assert numerical_rank(np.zeros((4, 6))).rank == 0
     assert numerical_rank(np.eye(5)).rank == 5
