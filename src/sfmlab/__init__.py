@@ -40,7 +40,6 @@ from .reconstruct import (
     LocalUniquenessReport,
     SolveReport,
     gauge_fix,
-    gauge_fix_jet,
     local_uniqueness,
     perturb_jet_scene,
     perturb_scene,
@@ -74,7 +73,6 @@ from .symmetry import (
     align_jet,
     generators,
     identity,
-    jet_generators,
     kernel_check,
     random_element,
 )

@@ -24,21 +24,25 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(doc, indent: int = 0) -> str:
+def dumps(doc) -> str:
     """Deterministic JSON text for dicts/lists/numbers/strings/bools/None."""
+    return _dumps(doc, 0)
+
+
+def _dumps(doc, indent: int) -> str:
     pad = " " * indent
     if isinstance(doc, dict):
         if not doc:
             return "{}"
         inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2)}' for k, v in doc.items()
+            f'{pad}  {json.dumps(str(k))}: {_dumps(v, indent + 2)}' for k, v in doc.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(doc, (list, tuple)):
         flat = all(not isinstance(v, (dict, list, tuple)) for v in doc)
         if flat:
-            return "[" + ", ".join(dumps(v) for v in doc) + "]"
-        inner = ",\n".join(f"{pad}  {dumps(v, indent + 2)}" for v in doc)
+            return "[" + ", ".join(_dumps(v, indent) for v in doc) + "]"
+        inner = ",\n".join(f"{pad}  {_dumps(v, indent + 2)}" for v in doc)
         return "[\n" + inner + "\n" + pad + "]"
     if isinstance(doc, bool):
         return "true" if doc else "false"

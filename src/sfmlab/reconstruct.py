@@ -19,7 +19,7 @@ from .cameras import GROUPS, CameraClass, checked_array
 from .counting import checked_ints, jet_feasible
 from .errors import DegenerateConfigurationError, InfeasibleCountError
 # evaluate_jet and jet_generators stay bound here although unused:
-# perfbench/tracing.py wraps this module's binding of each name.
+# perfbench/tracing.py::_layer_patches wraps this module's binding of each name.
 from .sfm import (
     JetScene,
     Measurements,
@@ -98,7 +98,7 @@ def _greedy_pins(G: np.ndarray, forced: list[int], pools: list[list[int]], g: in
     return chosen
 
 
-def gauge_fix(cls: CameraClass, template: Scene | JetScene) -> GaugeChart:
+def gauge_fix(template: Scene | JetScene) -> GaugeChart:
     """Pin ``g`` coordinates at their template values.
 
     In order: point 0's first ``d`` coordinates (its position or motion
@@ -107,9 +107,8 @@ def gauge_fix(cls: CameraClass, template: Scene | JetScene) -> GaugeChart:
     span the orbit directions, preferring point 0's remaining motion
     coefficients, then point 1's first ``d``.
     """
-    if template.cls.name != cls.name:
-        raise ValueError("template class does not match")
-    G = generators(cls, template)
+    cls = template.cls
+    G = generators(template)
     points, cams = template.columns()
     forced = points[0, :cls.d].tolist()
     rotates, _ = GROUPS[cls.group]
@@ -122,9 +121,8 @@ def gauge_fix(cls: CameraClass, template: Scene | JetScene) -> GaugeChart:
     return GaugeChart(tuple(idx), vec[idx], template.dim)
 
 
-def gauge_fix_jet(js: JetScene) -> GaugeChart:
-    """``gauge_fix`` with the class taken from the scene."""
-    return gauge_fix(js.cls, js)
+# Kept because perfbench/tracing.py::_layer_patches binds this name.
+gauge_fix_jet = gauge_fix
 
 
 GRADIENT_TOL = 1e-10  # converged when |J^T r| falls below this
@@ -211,7 +209,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
             f"{cls.name} with n={init.n}, m={init.m}: unknowns {rep.lhs} exceed "
             f"measurements plus symmetry {rep.rhs}"
         )
-    gauge = gauge_fix(cls, init)
+    gauge = gauge_fix(init)
     target = measurements.data.ravel()
     wrap = init.output_angle_mask
     free = ~gauge.mask

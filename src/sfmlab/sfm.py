@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .cameras import SPREAD, Camera, CameraClass, checked_array, checked_globals
-from .counting import checked_ints
+from .counting import checked_ints, feasible
 from .errors import DegenerateConfigurationError
 
 FD_STEP = 1e-6  # central-difference step of every finite-difference Jacobian
@@ -360,8 +360,9 @@ def numerical_rank(mat: np.ndarray, rel_tol: float | None = None) -> RankReport:
 
 
 def predicted_rank(cls: CameraClass, n: int, m: int) -> int:
-    """Generic rank bound min(d*n + f*m + h - g, s*n*m)."""
-    return min(cls.d * n + cls.f * m + cls.h - cls.g, cls.s * n * m)
+    """Generic rank bound min(d*n + f*m + h, s*n*m + g) - g."""
+    rep = feasible(cls, n, m)
+    return min(rep.lhs, rep.rhs) - cls.g
 
 
 @dataclass(frozen=True)

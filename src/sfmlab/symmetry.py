@@ -46,14 +46,10 @@ def identity(d: int) -> GroupElement:
     return GroupElement(1.0, np.eye(d), np.zeros(d))
 
 
-def act_point(gamma: GroupElement, point) -> np.ndarray:
-    p = np.asarray(point, dtype=float)
-    return gamma.scale * (gamma.rotation @ p) + gamma.translation
-
-
-def act_points(gamma: GroupElement, points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    return gamma.scale * (pts @ gamma.rotation.T) + gamma.translation
+def act_point(gamma: GroupElement, points) -> np.ndarray:
+    """``p -> scale * R p + v`` for one point ``(d,)`` or a stack ``(..., d)``."""
+    p = np.asarray(points, dtype=float)
+    return gamma.scale * (p @ gamma.rotation.T) + gamma.translation
 
 
 def _check_group(gamma: GroupElement, cls: CameraClass):
@@ -79,7 +75,7 @@ def act_scene(gamma: GroupElement, scene: Scene | JetScene) -> Scene | JetScene:
     _check_group(gamma, cls)
     coefficients = scene.coefficients
     moved = coefficients @ (gamma.scale * gamma.rotation).T
-    moved[:, 0, :] = act_points(gamma, coefficients[:, 0, :])
+    moved[:, 0, :] = act_point(gamma, coefficients[:, 0, :])
     params = [cls.act(p, gamma.scale, gamma.rotation, gamma.translation) for p in scene.params]
     return scene.with_coefficients(moved, np.array(params))
 
@@ -107,12 +103,11 @@ def _element(group: str, d: int, t: np.ndarray) -> GroupElement:
     return GroupElement(float(np.exp(t[-1])) if scales else 1.0, R, t[:d])
 
 
-def generators(cls: CameraClass, scene: Scene | JetScene) -> np.ndarray:
+def generators(scene: Scene | JetScene) -> np.ndarray:
     """Tangent vectors of the symmetry orbits at ``scene``, one column per
     group generator (translations, rotations, scaling), shape (dim, g): the
     finite-difference Jacobian of the group action at the identity."""
-    if scene.cls.name != cls.name:
-        raise ValueError("scene class does not match")
+    cls = scene.cls
     G = fd_jacobian(lambda t: act_scene(_element(cls.group, cls.d, t), scene).to_vector(),
                     np.zeros(cls.g), scene.dim, scene.angle_mask, single_columns(cls.g))
     if not np.all(np.isfinite(G)):
@@ -120,9 +115,8 @@ def generators(cls: CameraClass, scene: Scene | JetScene) -> np.ndarray:
     return G
 
 
-def jet_generators(js: JetScene) -> np.ndarray:
-    """``generators`` with the class taken from the scene."""
-    return generators(js.cls, js)
+# Kept because perfbench/tracing.py::_layer_patches binds this name.
+jet_generators = generators
 
 
 def _matched_positions(scene) -> np.ndarray:
@@ -177,7 +171,7 @@ def align(a: Scene | JetScene, b: Scene | JetScene) -> tuple[GroupElement, float
     B = _matched_positions(b)
     gamma = _procrustes(A, B, a.cls.group)
     a_free, b_free = (s.coefficients[:, 1:, :].reshape(-1, a.cls.d) for s in (a, b))
-    resid = np.concatenate([act_points(gamma, A) - B,
+    resid = np.concatenate([act_point(gamma, A) - B,
                             a_free @ (gamma.scale * gamma.rotation).T - b_free])
     rmse = float(np.sqrt(np.mean(np.sum(resid * resid, axis=1))))
     return gamma, rmse
@@ -206,7 +200,7 @@ def kernel_check(scene: Scene | JetScene) -> KernelCheckReport:
     directions that change the pictures fail the bound.
     """
     J = jacobian(scene)
-    G = generators(scene.cls, scene)
+    G = generators(scene)
     jnorm = float(np.linalg.norm(J, 2))
     ratios = np.linalg.norm(J @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))
     return KernelCheckReport(ratios, KERNEL_TOL, bool(np.all(ratios <= KERNEL_TOL)))

@@ -32,6 +32,20 @@ def test_catalog_json(capsys):
     assert all(isinstance(r["chart"], str) and r["chart"] for r in rows)
 
 
+def test_catalog_csv(capsys):
+    assert main(["catalog", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "name,d,s,f,g,h,group"
+    assert len(lines) == 14
+    assert lines[1:3] == ["affine-ortho-2d,2,1,2,3,0,euclidean",
+                          "omni-oriented-2d,2,1,2,3,0,dilation"]
+
+
+def test_dumps_writes_bools_null_and_empty_objects():
+    assert io.dumps({"a": True, "b": None, "c": {}, "d": [False, None]}) == (
+        '{\n  "a": true,\n  "b": null,\n  "c": {},\n  "d": [false, null]\n}')
+
+
 def test_region_csv_and_svg(tmp_path, capsys):
     csv_path = tmp_path / "region.csv"
     svg_path = tmp_path / "region.svg"

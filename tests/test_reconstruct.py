@@ -9,7 +9,6 @@ from sfmlab import reconstruct
 from sfmlab.reconstruct import (
     GaugeChart,
     gauge_fix,
-    gauge_fix_jet,
     local_uniqueness,
     perturb_jet_scene,
     perturb_scene,
@@ -35,7 +34,7 @@ def test_gauge_pin_counts():
     for name in ALL_CLASS_NAMES:
         cls = catalog_lookup(name)
         scene = random_scene(cls, 3, 3, seed=7)
-        gauge = gauge_fix(cls, scene)
+        gauge = gauge_fix(scene)
         assert len(gauge.indices) == cls.g
         if name in expected:
             assert len(gauge.indices) == expected[name]
@@ -46,12 +45,12 @@ def test_gauge_pin_counts():
 
 def test_gauge_structure_for_named_classes():
     scene = random_scene(catalog_lookup("affine-ortho-3d"), 3, 3, seed=8)
-    gauge = gauge_fix(scene.cls, scene)
+    gauge = gauge_fix(scene)
     # point 1 coordinates plus camera 1 orientation block
     assert set(gauge.indices) == {0, 1, 2, 9, 10, 11}
 
     scene = random_scene(catalog_lookup("omni-oriented-2d"), 3, 3, seed=8)
-    gauge = gauge_fix(scene.cls, scene)
+    gauge = gauge_fix(scene)
     assert set(gauge.indices) >= {0, 1}
     assert len(set(gauge.indices) & {2, 3}) == 1  # one scale pin on point 2
 
@@ -62,7 +61,7 @@ def test_gauge_fixed_jacobian_has_full_column_rank():
         cls = catalog_lookup(name)
         for k in range(3):
             scene = random_scene(cls, n, m, seed=(15, k))
-            gauge = gauge_fix(cls, scene)
+            gauge = gauge_fix(scene)
             rep = local_uniqueness(scene, gauge)
             assert rep.passed and rep.rank == scene.dim - cls.g
 
@@ -108,7 +107,7 @@ def test_gauge_of_another_scene_size_is_rejected():
     """A gauge pins coordinates of one scene size; it must not be used on another."""
     cls = catalog_lookup("omni-oriented-2d")
     a = random_scene(cls, 3, 3, seed=1)
-    other = gauge_fix(cls, random_scene(cls, 4, 3, seed=1))
+    other = gauge_fix(random_scene(cls, 4, 3, seed=1))
     with pytest.raises(ValueError, match="gauge does not match the scene"):
         local_uniqueness(a, other)
     for indices, dim in [((-1,), 4), ((0, 99), 10)]:
@@ -207,10 +206,10 @@ def test_noise_scales_roughly_linearly():
 def test_local_uniqueness_flags_deficient_cases():
     cls = catalog_lookup("affine-ortho-3d")
     good = random_scene(cls, 3, 3, seed=110)
-    assert local_uniqueness(good, gauge_fix(cls, good)).passed
+    assert local_uniqueness(good, gauge_fix(good)).passed
 
     wide = random_scene(cls, 6, 2, seed=111)
-    assert not local_uniqueness(wide, gauge_fix(cls, wide)).passed
+    assert not local_uniqueness(wide, gauge_fix(wide)).passed
 
     rng = np.random.default_rng(112)
     pts = np.column_stack([rng.uniform(-2, 2, size=(3, 2)), np.zeros(3)])
@@ -220,13 +219,13 @@ def test_local_uniqueness_flags_deficient_cases():
         for _ in range(3)
     )
     coplanar = Scene(cls, pts, cams, np.zeros(0))
-    assert not local_uniqueness(coplanar, gauge_fix(cls, coplanar)).passed
+    assert not local_uniqueness(coplanar, gauge_fix(coplanar)).passed
 
 
 def test_jet_gauge_and_solver_runs():
     cls = catalog_lookup("omni-2d")
     truth = random_jet_scene(cls, 7, 6, seed=120)
-    gauge = gauge_fix_jet(truth)
+    gauge = gauge_fix(truth)
     assert len(gauge.indices) == cls.g
     meas = evaluate_jet(truth)
     init = perturb_jet_scene(truth, 0.05, seed=121)
@@ -281,7 +280,7 @@ def test_order_zero_taylor_scene_matches_its_static_scene(name):
     must give the static scene's pictures, Jacobian, orbits, pins, action and
     alignment."""
     from sfmlab.sfm import JetScene, jacobian
-    from sfmlab.symmetry import align_jet, generators, jet_generators
+    from sfmlab.symmetry import align_jet, generators
 
     cls = catalog_lookup(name)
     scene = random_scene(cls, 5, 3, seed=150)
@@ -290,8 +289,8 @@ def test_order_zero_taylor_scene_matches_its_static_scene(name):
     assert np.array_equal(js.to_vector(), scene.to_vector())
     assert np.array_equal(evaluate_jet(js).data, evaluate(scene).data)
     assert np.array_equal(jacobian(js), jacobian(scene))
-    assert np.array_equal(jet_generators(js), generators(cls, scene))
-    assert gauge_fix_jet(js).indices == gauge_fix(cls, scene).indices
+    assert np.array_equal(generators(js), generators(scene))
+    assert gauge_fix(js).indices == gauge_fix(scene).indices
     gamma = random_element(cls.group, cls.d, 151)
     moved_js, moved = act_scene(gamma, js), act_scene(gamma, scene)
     assert np.array_equal(moved_js.to_vector(), moved.to_vector())

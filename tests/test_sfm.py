@@ -318,7 +318,7 @@ def test_kernel_check_passes_and_detects_bad_directions():
     assert rep.passed and rep.ratios.shape == (cls.g,)
 
     J = jacobian(scene)
-    G = generators(cls, scene)
+    G = generators(scene)
     rng = np.random.default_rng(82)
     v = G[:, 0] + 0.1 * rng.normal(size=G.shape[0])
     ratio = np.linalg.norm(J @ v) / (np.linalg.norm(J, 2) * np.linalg.norm(v))

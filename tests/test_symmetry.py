@@ -31,6 +31,10 @@ def test_act_point_examples():
     assert np.allclose(act_point(shift, [0.0, 0.0]), [1.0, 0.0])
     double = GroupElement(2.0, np.eye(2), np.zeros(2))
     assert np.allclose(act_point(double, [1.0, 1.0]), [2.0, 2.0])
+    gamma = random_element("similarity", 3, 4)
+    stack = np.arange(12.0).reshape(2, 2, 3)
+    assert np.allclose(act_point(gamma, stack), [[act_point(gamma, p) for p in row]
+                                                 for row in stack])
 
 
 def test_random_element_group_constraints():
@@ -109,7 +113,7 @@ def test_defining_invariance(name):
 def test_generator_count_and_rank(name):
     cls = catalog_lookup(name)
     scene = random_scene(cls, 3, 3, seed=77)
-    G = generators(cls, scene)
+    G = generators(scene)
     assert G.shape == (scene.dim, cls.g)
     assert numerical_rank(G).rank == cls.g
 
@@ -117,7 +121,7 @@ def test_generator_count_and_rank(name):
 def test_translation_generator_is_unit_pattern():
     cls = catalog_lookup("omni-oriented-3d")
     scene = random_scene(cls, 2, 2, seed=5)
-    G = generators(cls, scene)
+    G = generators(scene)
     # translation along x: every point and every center moves with d/dt = e_x
     col = G[:, 0]
     expected = np.zeros(scene.dim)
@@ -132,7 +136,7 @@ def test_generator_matches_directional_derivative():
     cls = catalog_lookup("omni-2d")
     scene = random_scene(cls, 3, 3, seed=19)
     J = jacobian(scene)
-    G = generators(cls, scene)
+    G = generators(scene)
     eps = 1e-4
     # moving along the orbit changes no picture, so the forward difference of
     # the measurements must match J @ column, both near zero
