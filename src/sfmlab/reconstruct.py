@@ -28,8 +28,7 @@ from .sfm import (
     evaluate,
     evaluate_jet,  # noqa: F401
     fd_jacobian,
-    jacobian,
-    numerical_rank,
+    jacobian_rank,
     single_columns,
 )
 from .symmetry import generators, jet_generators  # noqa: F401
@@ -266,9 +265,8 @@ def local_uniqueness(scene: Scene | JetScene, gauge: GaugeChart) -> LocalUniquen
     see."""
     if gauge.dim != scene.dim:
         raise ValueError("gauge does not match the scene")
-    J = jacobian(scene)
     free = ~gauge.mask
-    report = numerical_rank(J[:, free])
+    report = jacobian_rank(scene, free, None)
     expected = int(np.count_nonzero(free))
     return LocalUniquenessReport(report.rank == expected, report.rank, expected, report)
 

@@ -12,7 +12,7 @@ share one code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import DegenerateConfigurationError
 FD_STEP = 1e-6  # central-difference step of every finite-difference Jacobian
 MAX_DRAWS = 100  # scenes a sampler draws before it gives up
 JET_OMEGA = 0.7  # angular velocity of every sampled circle jet
+MAX_JACOBIAN_ENTRIES = 2**27  # generic_rank refuses cells with a larger dense Jacobian
 
 
 def _split_vector(cls: CameraClass, block_shape: tuple, m: int, vec) -> tuple:
@@ -331,11 +332,16 @@ class RankReport:
     gap: float  # ratio of the last kept to the first dropped singular value
 
 
+def _default_rel_tol(shape: tuple[int, int]) -> float:
+    """1e-8 * max(rows, cols): a spectral cutoff sized for double-precision
+    finite-difference Jacobians."""
+    return 1e-8 * max(shape)
+
+
 def numerical_rank(mat: np.ndarray, rel_tol: float | None = None) -> RankReport:
     """Rank = number of singular values above rel_tol * sigma_max.
 
-    The default tolerance is 1e-8 * max(rows, cols), a spectral cutoff sized
-    for double-precision finite-difference Jacobians.
+    The tolerance defaults to ``_default_rel_tol`` of the matrix's shape.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
@@ -345,7 +351,7 @@ def numerical_rank(mat: np.ndarray, rel_tol: float | None = None) -> RankReport:
     if not np.isfinite([mat.min(), mat.max()]).all():  # a nan or inf reaches them, without a copy
         raise ValueError("matrix must be finite")
     if rel_tol is None:
-        rel_tol = 1e-8 * max(mat.shape)
+        rel_tol = _default_rel_tol(mat.shape)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     sigma = np.linalg.svd(mat, compute_uv=False)
@@ -357,6 +363,55 @@ def numerical_rank(mat: np.ndarray, rel_tol: float | None = None) -> RankReport:
     else:
         gap = float("inf")
     return RankReport(mat.shape, sigma, float(rel_tol), float(threshold), rank, gap)
+
+
+def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
+    """A factor M of the measurement Jacobian: J = Q M up to zero rows, where
+    Q has orthonormal columns, so M has J's singular values.
+
+    Point i's coefficients move only the m*s rows of point i, so those rows
+    of J are one block [A_i | B_i]: A_i in point i's columns, B_i in the
+    camera and shared columns, where camera j's parameters move only camera
+    j's rows. One batched QR gives A_i = Q_i R_i with Q_i square. The first
+    k = min(m*s, point_dim) rows of Q_i^T [A_i | B_i] go into M as they are;
+    the rest are zero in the point columns, so they are stacked and reduced
+    by one more QR. This is the orthogonal form of the point elimination of
+    bundle adjustment (Triggs et al., 2000, section 6). It assumes nothing
+    about the rank of any block, and M has min(n*m*s, dim) rows. J itself is
+    freed once the blocks are gathered.
+    """
+    n, m, s, dim = scene.n, scene.m, scene.cls.s, scene.dim
+    points, cams = scene.columns()
+    pd, shared = scene.point_dim, points.size
+    J = jacobian(scene).reshape(n, m, s, dim)
+    A = J.reshape(n, m * s, dim)[np.arange(n)[:, None, None], np.arange(m * s)[:, None],
+                                 points[:, None, :]]
+    B_cams = J[:, np.arange(m)[:, None, None], np.arange(s)[:, None], cams[:, None, :]]
+    B_glob = J[..., shared + cams.size:].reshape(n, m * s, -1).copy()  # so that J can be freed
+    del J
+    Q, R = np.linalg.qr(A, mode="complete")
+    QB = np.concatenate([  # Q_i^T B_i, camera j's block taken from camera j's rows only
+        (Q.reshape(n, m, s, -1).swapaxes(2, 3) @ B_cams).swapaxes(1, 2).reshape(n, m * s, -1),
+        Q.swapaxes(1, 2) @ B_glob], axis=2)
+    k = min(m * s, pd)
+    rest = np.linalg.qr(QB[:, k:].reshape(-1, dim - shared), mode="r")
+    M = np.zeros((n * k + rest.shape[0], dim))
+    top = M[:n * k].reshape(n, k, dim)
+    top[np.arange(n)[:, None, None], np.arange(k)[:, None], points[:, None, :]] = R[:, :k]
+    top[:, :, shared:] = QB[:, :k]
+    M[n * k:, shared:] = rest
+    return M
+
+
+def jacobian_rank(scene: Scene | JetScene, columns, rel_tol: float | None) -> RankReport:
+    """``numerical_rank`` of ``jacobian(scene)[:, columns]``, read from
+    ``jacobian_factor``: J[:, columns] = Q M[:, columns] has the same
+    spectrum. The tolerance and the reported shape are those of J[:, columns].
+    """
+    M = jacobian_factor(scene)[:, columns]
+    shape = (scene.cls.s * scene.n * scene.m, M.shape[1])
+    report = numerical_rank(M, _default_rel_tol(shape) if rel_tol is None else rel_tol)
+    return replace(report, shape=shape)
 
 
 def predicted_rank(cls: CameraClass, n: int, m: int) -> int:
@@ -395,6 +450,13 @@ def _draw_scene(cls: CameraClass, m: int, seed, box: float, draw_points) -> Scen
     )
 
 
+def _checked_counts(n: int, m: int) -> tuple[int, int]:
+    n, m = checked_ints("counts", n, m)
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 points and m >= 1 cameras")
+    return n, m
+
+
 def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
     """Deterministic generic scene with singularity margins enforced.
 
@@ -403,9 +465,7 @@ def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
     cameras are placed outside the point cloud looking at it, so every point
     sits safely in front of the film.
     """
-    n, m = checked_ints("counts", n, m)
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 points and m >= 1 cameras")
+    n, m = _checked_counts(n, m)
 
     def draw_points(rng):
         points = rng.uniform(-SPREAD, SPREAD, size=(n, cls.d))
@@ -439,13 +499,21 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     """Max numerical rank of the measurement Jacobian over random scenes.
 
     The rank can only drop on thin subsets of configuration space, so the max
-    over independent draws estimates the generic value.
+    over independent draws estimates the generic value. Each trial's
+    spectrum comes from ``jacobian_rank``. Cells whose dense Jacobian would
+    have more than ``MAX_JACOBIAN_ENTRIES`` entries are refused before any
+    scene is drawn.
     """
+    n, m = _checked_counts(n, m)
     (trials,) = checked_ints("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    rows, cols = cls.s * n * m, cls.d * n + cls.f * m + cls.h
+    if rows * cols > MAX_JACOBIAN_ENTRIES:
+        raise ValueError(f"{cls.name} ({n},{m}): a {rows} x {cols} Jacobian exceeds "
+                         f"{MAX_JACOBIAN_ENTRIES} entries")
     reports = [
-        numerical_rank(jacobian(random_scene(cls, n, m, seed=(seed, t))), rel_tol=rel_tol)
+        jacobian_rank(random_scene(cls, n, m, seed=(seed, t)), slice(None), rel_tol)
         for t in range(trials)
     ]
     ranks = tuple(r.rank for r in reports)

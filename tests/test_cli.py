@@ -87,6 +87,11 @@ def test_rank_exit_codes(capsys):
     assert main(["rank", "no-such-camera", "3", "3"]) == 2
 
 
+def test_rank_refuses_a_huge_cell(capsys):
+    assert main(["rank", "omni-2d", "100000000", "3", "--trials", "1"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_simulate_is_deterministic(tmp_path):
     paths = [(tmp_path / f"s{k}.json", tmp_path / f"m{k}.json") for k in range(2)]
     for sp, mp in paths:

@@ -299,6 +299,12 @@ def test_rank_invariant_under_gauge_rerandomization():
 
 
 def test_coplanar_ortho_scene_drops_rank():
+    assert numerical_rank(jacobian(_coplanar_ortho_scene())).rank < 18
+
+
+def _coplanar_ortho_scene():
+    """affine-ortho-3d points on z = 0 seen by cameras turned about z only:
+    no camera sees z, so every point block of J has rank 2 < point_dim."""
     cls = catalog_lookup("affine-ortho-3d")
     rng = np.random.default_rng(9)
     pts = np.column_stack([rng.uniform(-2, 2, size=(3, 2)), np.zeros(3)])
@@ -307,8 +313,43 @@ def test_coplanar_ortho_scene_drops_rank():
                                     rng.uniform(-2, 2, size=2)]))
         for _ in range(3)
     )
-    scene = Scene(cls, pts, cams, np.zeros(0))
-    assert numerical_rank(jacobian(scene)).rank < 18
+    return Scene(cls, pts, cams, np.zeros(0))
+
+
+FACTOR_SCENES = (
+    [(c.name, n, m) for c in catalog() for n, m in ((10, 8), (4, 3), (6, 1), (1, 4))]
+    + [(f"circle {c.name}", n, m) for c in catalog() if c.d == 2 for n, m in ((7, 6), (11, 5))]
+    + [("taylor", 7, 5)]
+)
+
+
+def _assert_same_report(factor, dense):
+    assert (factor.rank, factor.shape, factor.rel_tol) == (dense.rank, dense.shape, dense.rel_tol)
+    assert factor.threshold == pytest.approx(dense.threshold, rel=1e-12)
+    assert factor.singular_values.shape == dense.singular_values.shape
+    top = dense.singular_values[0]
+    assert np.abs(factor.singular_values - dense.singular_values).max() <= 1e-12 * top
+
+
+@pytest.mark.parametrize("kind,n,m", FACTOR_SCENES + [("coplanar", 3, 3)])
+def test_point_block_factor_keeps_the_spectrum_of_the_jacobian(kind, n, m):
+    scene = _coplanar_ortho_scene() if kind == "coplanar" else _grouped_scene(kind, n, m, 92)
+    J = jacobian(scene)
+    _assert_same_report(sfm.jacobian_rank(scene, slice(None), None), numerical_rank(J))
+    columns = np.random.default_rng(93).permutation(scene.dim) >= scene.cls.g  # drop g columns
+    _assert_same_report(sfm.jacobian_rank(scene, columns, None), numerical_rank(J[:, columns]))
+    if kind == "coplanar":
+        blocks = J.reshape(n, -1, scene.dim)[:, :, : n * scene.point_dim]
+        assert max(np.linalg.matrix_rank(b) for b in blocks) < scene.point_dim
+
+
+def test_generic_rank_refuses_a_huge_cell_before_drawing(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a scene was drawn")
+
+    monkeypatch.setattr(sfm, "random_scene", draw)
+    with pytest.raises(ValueError, match="exceeds"):
+        generic_rank(catalog_lookup("omni-2d"), 100_000_000, 3, trials=1)
 
 
 def test_kernel_check_passes_and_detects_bad_directions():
