@@ -217,7 +217,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
     def residual(x_free):
         vec = base.copy()
         vec[free] = x_free
-        r = evaluate(init.with_vector(vec)).flat() - target
+        r = init.measure(vec) - target
         r[wrap] = geometry.wrap_angle(r[wrap])
         return r
 

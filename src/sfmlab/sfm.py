@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -48,7 +49,8 @@ class _SceneLayout:
     rows, and ``shot_positions()`` gives the positions every camera
     photographs, shape (m, n, d). The coordinate vector is all coefficients,
     then each camera's parameters (the rows of ``params``), then the
-    scene-level parameters.
+    scene-level parameters; ``measure`` maps it to the flattened
+    measurements.
     """
 
     def _check_cameras(self) -> None:
@@ -75,6 +77,34 @@ class _SceneLayout:
 
     def positions(self, j: int) -> np.ndarray:  # row j of shot_positions()
         return self.shot_positions()[j]
+
+    def shot_positions(self) -> np.ndarray:
+        return self._positions(self.coefficients)
+
+    def _check_motion(self, coefficients: np.ndarray) -> None:
+        if self.model == "circle" and np.hypot(*coefficients[:, 1].T).min() < 1e-12:
+            raise ValueError("circle radius vectors must be nonzero")
+
+    def measure(self, vec) -> np.ndarray:
+        """The measurement map at coordinate vector ``vec``: the flattened
+        measurements, equal to ``evaluate(self.with_vector(vec)).flat()``.
+
+        Computed from views of ``vec``, with one ``project`` call and without
+        building a scene or ``Measurements``. It rejects what they reject, with
+        ValueError: a wrong length, a non-finite coordinate, a zero circle
+        radius or a non-finite measurement.
+        """
+        # C-ordered like the copies with_vector makes, so project rounds the same way
+        vec = np.ascontiguousarray(vec, dtype=float).reshape(-1)
+        coefficients, params, glob = _split_vector(self.cls, self.coefficients.shape, self.m, vec)
+        if np.count_nonzero(np.isfinite(vec)) != vec.size:
+            raise ValueError("scene coordinates must be finite")
+        self._check_motion(coefficients)
+        data = self.cls.project(params, glob, self._positions(coefficients))
+        flat = data.swapaxes(0, 1).reshape(-1)
+        if np.count_nonzero(np.isfinite(flat)) != flat.size:
+            raise ValueError("measurements must be finite")
+        return flat
 
     @property
     def dim(self) -> int:
@@ -150,8 +180,8 @@ class Scene(_SceneLayout):
     def coefficients(self) -> np.ndarray:
         return self.points[:, None, :]
 
-    def shot_positions(self) -> np.ndarray:
-        return np.broadcast_to(self.points, (self.m,) + self.points.shape)
+    def _positions(self, coefficients: np.ndarray) -> np.ndarray:
+        return coefficients[:, 0, :][None].repeat(self.m, axis=0)
 
     def with_coefficients(self, coefficients: np.ndarray, params: np.ndarray) -> "Scene":
         return Scene(self.cls, coefficients[:, 0, :], params, self.globals_vec)
@@ -196,7 +226,8 @@ class JetScene(_SceneLayout):
     circle traversed at the shared known angular velocity ``omega``; its
     coefficient row is [center, radius vector]. ``taylor`` stores polynomial
     coefficients of shape (k+1, d) per point. ``params`` may be given as a
-    sequence of ``Camera`` objects.
+    sequence of ``Camera`` objects. The motion law's time factors at the shot
+    times are computed once per scene, on first use.
     """
 
     cls: CameraClass
@@ -214,8 +245,7 @@ class JetScene(_SceneLayout):
             if self.cls.d != 2:
                 raise ValueError("the circle motion model is planar")
             motion = checked_array("circle motion rows [cx, cy, rx, ry]", self.motion, (None, 4))
-            if np.any(np.linalg.norm(motion[:, 2:], axis=1) < 1e-12):
-                raise ValueError("circle radius vectors must be nonzero")
+            self._check_motion(motion.reshape(-1, 2, 2))
         else:
             motion = checked_array("taylor motion", self.motion, (None, None, self.cls.d))
         if not math.isfinite(self.omega):
@@ -239,8 +269,12 @@ class JetScene(_SceneLayout):
     def coefficients(self) -> np.ndarray:
         return self.motion.reshape(self.n, -1, self.cls.d)
 
-    def shot_positions(self) -> np.ndarray:
-        return jet_position(self.motion, self.times, self.model, self.omega)
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        return _motion_basis(self.times, self.model, self.omega, self.motion.shape)
+
+    def _positions(self, coefficients: np.ndarray) -> np.ndarray:
+        return _moved(self._basis, coefficients.reshape(self.motion.shape), self.model)
 
     def with_coefficients(self, coefficients: np.ndarray, params: np.ndarray) -> "JetScene":
         return JetScene(self.cls, self.model, coefficients.reshape(self.motion.shape), self.times,
@@ -261,21 +295,34 @@ def jet_position(coeffs, t, model: str, omega: float = 0.0) -> np.ndarray:
     Taylor model: sum of coeffs[..., l, :] * t**l over the Taylor rows.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    return _moved(_motion_basis(t, model, omega, coeffs.shape), coeffs, model)
+
+
+def _motion_basis(t, model: str, omega: float, coeffs_shape: tuple) -> np.ndarray:
+    """The time factors of a motion law at times ``t``, which depend on no
+    coefficient: rotations R(omega * t) for circles, powers t**l for Taylor
+    rows. The time axes come first, then one axis per stack axis of the
+    coefficients."""
     t = np.asarray(t, dtype=float)
-    t = t.reshape(t.shape + (1,) * (coeffs.ndim - 1))  # time axes before the stack's axes
+    t = t.reshape(t.shape + (1,) * (len(coeffs_shape) - 1))
     if model == "circle":
-        return coeffs[..., :2] + (geometry.rot2(omega * t) @ coeffs[..., 2:, None])[..., 0]
+        return geometry.rot2(omega * t)
     if model == "taylor":
-        powers = t ** np.arange(coeffs.shape[-2])
-        return (powers[..., None, :] @ coeffs)[..., 0, :]
+        return t ** np.arange(coeffs_shape[-2])
     raise ValueError(f"unknown motion model {model!r}")
+
+
+def _moved(basis: np.ndarray, coeffs: np.ndarray, model: str) -> np.ndarray:
+    """Positions of the coefficients under a ``_motion_basis`` of their model."""
+    if model == "circle":
+        return coeffs[..., :2] + (basis @ coeffs[..., 2:, None])[..., 0]
+    return (basis[..., None, :] @ coeffs)[..., 0, :]
 
 
 def evaluate(scene: Scene | JetScene) -> Measurements:
     """Project the positions each camera sees, at its shot time for moving
-    points, through that camera: every camera in one call of its class."""
-    data = scene.cls.project(scene.params, scene.globals_vec, scene.shot_positions())
-    return Measurements(scene.cls, data.swapaxes(0, 1))
+    points, through that camera: ``scene.measure`` of the scene's own vector."""
+    return Measurements(scene.cls, scene.measure(scene.to_vector()).reshape(scene.n, scene.m, -1))
 
 
 evaluate_jet = evaluate
@@ -313,11 +360,11 @@ def jacobian(scene: Scene | JetScene) -> np.ndarray:
 
     Rows follow the row-major (point, camera, chart component) order, columns
     the scene coordinate vector. Columns are taken in the groups of
-    ``column_groups``; the result equals the ``single_columns`` loop bit for bit.
+    ``column_groups``, each evaluation by ``scene.measure``; the result equals
+    the ``single_columns`` loop bit for bit.
     """
-    return fd_jacobian(lambda v: evaluate(scene.with_vector(v)).flat(), scene.to_vector(),
-                       scene.cls.s * scene.n * scene.m, scene.output_angle_mask,
-                       scene.column_groups())
+    return fd_jacobian(scene.measure, scene.to_vector(), scene.cls.s * scene.n * scene.m,
+                       scene.output_angle_mask, scene.column_groups())
 
 
 @dataclass(frozen=True)
@@ -477,7 +524,7 @@ def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
 def random_jet_scene(cls: CameraClass, n: int, m: int, seed) -> JetScene:
     """Deterministic circle-motion scene observed by planar cameras, with
     shared parameters, camera placement and margins as in ``random_scene``."""
-    n, m = checked_ints("counts", n, m)
+    n, m = _checked_counts(n, m)
     if cls.d != 2:
         raise ValueError("circle jets are planar")
     times = 0.35 * np.arange(m)

@@ -42,6 +42,12 @@ CASES = {
     "rel_tol of 1": (lambda: numerical_rank(np.eye(2), rel_tol=1.0), ValueError, "rel_tol"),
     "scene without points": (lambda: random_scene(OMNI, 0, 3, seed=0), ValueError, "n >= 1"),
     "scene without cameras": (lambda: random_scene(OMNI, 3, 0, seed=0), ValueError, "m >= 1"),
+    "circle jets with negative points": (lambda: random_jet_scene(OMNI, -1, 3, seed=0),
+                                         ValueError, "n >= 1"),
+    "circle jets without points": (lambda: random_jet_scene(OMNI, 0, 3, seed=0), ValueError,
+                                   "n >= 1"),
+    "circle jets without cameras": (lambda: random_jet_scene(OMNI, 3, 0, seed=0), ValueError,
+                                    "m >= 1"),
     "circle jets in 3-D": (lambda: random_jet_scene(catalog_lookup("omni-3d"), 3, 3, seed=0),
                            ValueError, "planar"),
     "no rank trials": (lambda: generic_rank(OMNI, 3, 3, trials=0), ValueError, "trials"),

@@ -17,6 +17,7 @@ from sfmlab.reconstruct import (
     solve_jet,
 )
 from sfmlab.sfm import (
+    JetScene,
     Measurements,
     Scene,
     evaluate,
@@ -168,6 +169,28 @@ def test_solve_cost_history_never_increases():
     report = solve(cls, evaluate(truth), init)
     costs = np.array(report.cost_history)
     assert np.all(np.diff(costs) <= 0)
+
+
+def test_solve_builds_no_scene_per_evaluation(monkeypatch):
+    """The scenes one solve constructs (the gauge's generators, the result)
+    are as many whatever the iteration count and the dimension: the
+    residuals and finite differences run on the coordinate vector."""
+    counted = []
+    for scene_type in (Scene, JetScene):
+        build = scene_type.__post_init__
+        monkeypatch.setattr(scene_type, "__post_init__",
+                            lambda s, build=build: counted.append(s) or build(s))
+    cls = catalog_lookup("perspective-3d")
+    runs = []
+    for n, m, rel in ((5, 3, 0.02), (5, 3, 0.2), (12, 6, 0.1)):
+        truth = random_scene(cls, n, m, seed=(1, n))
+        meas, init = evaluate(truth), perturb_scene(truth, rel, seed=2)
+        counted.clear()
+        report = solve(cls, meas, init)
+        runs.append((init.dim, report.iterations, len(counted)))
+    (dim_a, iters_a, built_a), (_, iters_b, built_b), (dim_c, _, built_c) = runs
+    assert iters_a != iters_b and dim_a != dim_c  # each count varies what it should
+    assert built_a == built_b == built_c
 
 
 def test_gauge_independence_of_the_reconstruction():

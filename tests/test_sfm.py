@@ -249,13 +249,48 @@ def test_grouped_jacobian_equals_the_per_column_loop(kind, n, m):
 
 @pytest.mark.parametrize("kind", [c.name for c in catalog()] + ["circle omni-2d", "taylor"])
 def test_jacobian_evaluations_do_not_grow_with_the_scene(kind, monkeypatch):
+    measure = sfm._SceneLayout.measure
     for n, m in ((3, 3), (12, 9)):
         scene = _grouped_scene(kind, n, m, seed=91)
         calls = []
-        monkeypatch.setattr(sfm, "evaluate", lambda s: calls.append(s) or evaluate(s))
+        monkeypatch.setattr(sfm._SceneLayout, "measure",
+                            lambda s, v: calls.append(v) or measure(s, v))
         jacobian(scene)
         monkeypatch.undo()
         assert len(calls) == 2 * (scene.point_dim + scene.cls.f + scene.cls.h)
+
+
+MEASURED_SCENES = (
+    [(c.name, n, m) for c in catalog() for n, m in ((3, 3), (12, 9))]
+    + [(f"circle {c.name}", n, m) for c in catalog() if c.d == 2 for n, m in ((3, 3), (12, 9))]
+    + [("taylor", 3, 3), ("taylor", 12, 9)]
+)
+
+
+@pytest.mark.parametrize("kind,n,m", MEASURED_SCENES)
+def test_measure_equals_evaluate_of_the_rebuilt_scene(kind, n, m):
+    scene = _grouped_scene(kind, n, m, seed=92)
+    vec = scene.to_vector()
+    moved = vec * (1.0 + 1e-3 * np.random.default_rng(93).uniform(-1.0, 1.0, size=vec.size))
+    for v in (vec, moved):
+        assert np.array_equal(scene.measure(v), evaluate(scene.with_vector(v)).flat())
+    bad = {"wrong length": vec[:-1], "NaN": np.where(np.arange(vec.size) == 0, np.nan, vec),
+           "inf": np.where(np.arange(vec.size) == vec.size - 1, np.inf, vec)}
+    if kind.startswith("circle "):
+        bad["zero circle radius"] = np.where(np.isin(np.arange(vec.size), [2, 3]), 0.0, vec)
+    for v in bad.values():
+        with pytest.raises(ValueError):
+            scene.with_vector(v)
+        with pytest.raises(ValueError):
+            scene.measure(v)
+
+
+def test_measure_rejects_a_measurement_that_overflows():
+    scene = random_scene(catalog_lookup("affine-ortho-2d"), 3, 3, seed=1)
+    vec = np.array([1.7e308, -1.7e308] * 3 + [0.7, 0.0] * 3)  # finite, but x cos + y sin is not
+    for measure in (lambda v: evaluate(scene.with_vector(v)), scene.measure):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="measurements must be"):
+            measure(vec)
 
 
 def test_numerical_rank_basics():
