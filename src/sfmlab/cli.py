@@ -98,9 +98,6 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.n < 1 or args.m < 1:
-        print("error: need n >= 1 and m >= 1", file=sys.stderr)
-        return 2
     if args.cls == JET_PRESET:
         scene = random_jet_scene(catalog_lookup(JET_PRESET_CLASS), args.n, args.m, seed=args.seed)
     else:

@@ -29,7 +29,6 @@ from .sfm import (
     evaluate_jet,  # noqa: F401
     fd_jacobian,
     jacobian_rank,
-    single_columns,
 )
 from .symmetry import generators, jet_generators  # noqa: F401
 
@@ -154,7 +153,7 @@ def _lm(residual, x0: np.ndarray, wrap: np.ndarray):
     grad_norm = float("inf")
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        J = fd_jacobian(residual, x, r.size, wrap, single_columns(x.size))
+        J = fd_jacobian(residual, x, wrap, range(x.size))
         grad = J.T @ r
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < GRADIENT_TOL:

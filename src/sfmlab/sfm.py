@@ -26,7 +26,7 @@ from .errors import DegenerateConfigurationError
 FD_STEP = 1e-6  # central-difference step of every finite-difference Jacobian
 MAX_DRAWS = 100  # scenes a sampler draws before it gives up
 JET_OMEGA = 0.7  # angular velocity of every sampled circle jet
-MAX_JACOBIAN_ENTRIES = 2**27  # generic_rank refuses cells with a larger dense Jacobian
+MAX_ENTRIES = 2**27  # samplers refuse a larger m*n*d position grid, generic_rank a larger J
 
 
 def _split_vector(cls: CameraClass, block_shape: tuple, m: int, vec) -> tuple:
@@ -122,22 +122,20 @@ class _SceneLayout:
         cams = points.size + np.arange(self.m * self.cls.f).reshape(self.m, self.cls.f)
         return points, cams
 
-    def column_groups(self) -> list[tuple]:
-        """``fd_jacobian`` groups of the measurement map, point_dim + f + h of them.
+    def owner_jacobian(self) -> np.ndarray:
+        """The measurement Jacobian by owner, shape (n, m, s, point_dim + f + h).
 
         Measurement (i, j) depends only on point i, camera j and the shared
-        parameters, so coefficient c of every point is one group, each column
-        reading the m*s rows of its point, and parameter k of every camera is
-        one group, each column reading the n*s rows of its camera (Curtis,
-        Powell & Reid 1974). Each shared parameter is a group of its own.
+        parameters, its owners. Entry [i, j, :, c] is its derivative by
+        coordinate c of its owners: point i's coefficients, then camera j's
+        parameters, then the shared parameters. So one evaluation pair steps
+        coefficient c of every point, one steps parameter k of every camera,
+        and each shared parameter has its own (Curtis, Powell & Reid 1974).
         """
         points, cams = self.columns()
-        rows = np.arange(self.n * self.m * self.cls.s).reshape(self.n, self.m, -1)
-        point_rows = rows.reshape(self.n, -1)
-        cam_rows = rows.swapaxes(0, 1).reshape(self.m, -1)
-        return ([(points[:, [c]], point_rows) for c in range(self.point_dim)]
-                + [(cams[:, [k]], cam_rows) for k in range(self.cls.f)]
-                + single_columns(self.dim)[points.size + cams.size:])
+        groups = [*points.T, *cams.T, *range(points.size + cams.size, self.dim)]
+        J = fd_jacobian(self.measure, self.to_vector(), self.output_angle_mask, groups)
+        return J.reshape(self.n, self.m, self.cls.s, -1)
 
     @property
     def angle_mask(self) -> np.ndarray:
@@ -328,43 +326,44 @@ def evaluate(scene: Scene | JetScene) -> Measurements:
 evaluate_jet = evaluate
 
 
-def fd_jacobian(fn, x: np.ndarray, rows: int, wrap: np.ndarray, groups) -> np.ndarray:
-    """Central finite differences of ``fn`` at ``x``, shape (rows, x.size).
+def fd_jacobian(fn, x: np.ndarray, wrap: np.ndarray, groups) -> np.ndarray:
+    """Central finite differences of ``fn`` at ``x``, one column per group,
+    shape (wrap.size, len(groups)).
 
-    Each group ``(cols, reads)`` costs one evaluation pair: it steps every
-    coordinate in ``cols`` at once and sets ``J[reads, cols]`` from the
-    difference, so its columns must move disjoint outputs; entries that no
-    group reads are 0. Outputs marked in ``wrap`` are angles: their
-    differences are wrapped so chart seams do not leak 2*pi jumps into the
-    matrix.
+    Group k, an index or an index array, costs one evaluation pair: it steps
+    every coordinate in it at once, and column k is the difference. Outputs
+    marked in ``wrap`` are angles: their differences are wrapped so chart
+    seams do not leak 2*pi jumps into the matrix.
     """
-    J = np.zeros((rows, x.size))
-    for cols, reads in groups:
+    J = np.empty((wrap.size, len(groups)))
+    for k, cols in enumerate(groups):
         xp = x.copy()
         xp[cols] += FD_STEP
         xm = x.copy()
         xm[cols] -= FD_STEP
         diff = fn(xp) - fn(xm)
         diff[wrap] = geometry.wrap_angle(diff[wrap])
-        J[reads, cols] = diff[reads] / (2.0 * FD_STEP)
+        J[:, k] = diff / (2.0 * FD_STEP)
     return J
-
-
-def single_columns(size: int) -> list[tuple]:
-    """``fd_jacobian`` groups of one column each, reading every row."""
-    return [(k, slice(None)) for k in range(size)]
 
 
 def jacobian(scene: Scene | JetScene) -> np.ndarray:
     """Central finite-difference Jacobian of the flattened measurement map.
 
     Rows follow the row-major (point, camera, chart component) order, columns
-    the scene coordinate vector. Columns are taken in the groups of
-    ``column_groups``, each evaluation by ``scene.measure``; the result equals
-    the ``single_columns`` loop bit for bit.
+    the scene coordinate vector. Each entry of ``owner_jacobian`` goes into
+    its owner's column, found through ``columns()``; every other entry is 0.
+    The result equals the one-column-per-coordinate loop bit for bit.
     """
-    return fd_jacobian(scene.measure, scene.to_vector(), scene.cls.s * scene.n * scene.m,
-                       scene.output_angle_mask, scene.column_groups())
+    n, m, dim = scene.n, scene.m, scene.dim
+    points, cams = scene.columns()
+    shared = np.arange(points.size + cams.size, dim)
+    owners = np.concatenate([np.broadcast_to(points[:, None], (n, m, scene.point_dim)),
+                             np.broadcast_to(cams, (n, m, scene.cls.f)),
+                             np.broadcast_to(shared, (n, m, scene.cls.h))], axis=2)
+    J = np.zeros((n, m, scene.cls.s, dim))
+    np.put_along_axis(J, owners[:, :, None], scene.owner_jacobian(), axis=3)
+    return J.reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -419,23 +418,22 @@ def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
     Point i's coefficients move only the m*s rows of point i, so those rows
     of J are one block [A_i | B_i]: A_i in point i's columns, B_i in the
     camera and shared columns, where camera j's parameters move only camera
-    j's rows. One batched QR gives A_i = Q_i R_i with Q_i square. The first
+    j's rows. Both are read from ``owner_jacobian``; J itself is never
+    built. One batched QR gives A_i = Q_i R_i with Q_i square. The first
     k = min(m*s, point_dim) rows of Q_i^T [A_i | B_i] go into M as they are;
     the rest are zero in the point columns, so they are stacked and reduced
     by one more QR. This is the orthogonal form of the point elimination of
     bundle adjustment (Triggs et al., 2000, section 6). It assumes nothing
-    about the rank of any block, and M has min(n*m*s, dim) rows. J itself is
-    freed once the blocks are gathered.
+    about the rank of any block, and M has min(n*m*s, dim) rows.
     """
     n, m, s, dim = scene.n, scene.m, scene.cls.s, scene.dim
-    points, cams = scene.columns()
-    pd, shared = scene.point_dim, points.size
-    J = jacobian(scene).reshape(n, m, s, dim)
-    A = J.reshape(n, m * s, dim)[np.arange(n)[:, None, None], np.arange(m * s)[:, None],
-                                 points[:, None, :]]
-    B_cams = J[:, np.arange(m)[:, None, None], np.arange(s)[:, None], cams[:, None, :]]
-    B_glob = J[..., shared + cams.size:].reshape(n, m * s, -1).copy()  # so that J can be freed
-    del J
+    points = scene.columns()[0]
+    pd, f, shared = scene.point_dim, scene.cls.f, points.size
+    owners = scene.owner_jacobian()
+    # contiguous copies: the QR and the products round differently on strided views
+    A = np.ascontiguousarray(owners[..., :pd]).reshape(n, m * s, pd)
+    B_cams = np.ascontiguousarray(owners[..., pd:pd + f])
+    B_glob = np.ascontiguousarray(owners[..., pd + f:]).reshape(n, m * s, -1)
     Q, R = np.linalg.qr(A, mode="complete")
     QB = np.concatenate([  # Q_i^T B_i, camera j's block taken from camera j's rows only
         (Q.reshape(n, m, s, -1).swapaxes(2, 3) @ B_cams).swapaxes(1, 2).reshape(n, m * s, -1),
@@ -477,14 +475,19 @@ class GenericRankReport:
     best: RankReport  # report of the best trial (max rank, then widest gap)
 
 
-def _draw_scene(cls: CameraClass, m: int, seed, box: float, draw_points) -> Scene | JetScene:
+def _draw_scene(cls: CameraClass, n: int, m: int, seed, box: float,
+                draw_points) -> Scene | JetScene:
     """Draw scenes until every camera keeps its margins from the positions it sees.
 
     Each try draws the point coefficients (``draw_points(rng)`` returns a
     function of the camera parameters and shared parameters that builds it),
     then the shared parameters, then the cameras through their class's
-    placement; ``box`` bounds omni camera centers.
+    placement; ``box`` bounds omni camera centers. A scene with more than
+    ``MAX_ENTRIES`` shot positions (m*n*d) is refused before the first try.
     """
+    if m * n * cls.d > MAX_ENTRIES:
+        raise ValueError(f"{cls.name} ({n},{m}): a {m} x {n} x {cls.d} grid of shot positions "
+                         f"exceeds {MAX_ENTRIES} entries")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
         build = draw_points(rng)
@@ -518,7 +521,7 @@ def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
         points = rng.uniform(-SPREAD, SPREAD, size=(n, cls.d))
         return lambda params, glob: Scene(cls, points, params, glob)
 
-    return _draw_scene(cls, m, seed, 1.6 * SPREAD, draw_points)
+    return _draw_scene(cls, n, m, seed, 1.6 * SPREAD, draw_points)
 
 
 def random_jet_scene(cls: CameraClass, n: int, m: int, seed) -> JetScene:
@@ -538,7 +541,7 @@ def random_jet_scene(cls: CameraClass, n: int, m: int, seed) -> JetScene:
         return lambda params, glob: JetScene(cls, "circle", motion, times, params, glob,
                                              JET_OMEGA)
 
-    return _draw_scene(cls, m, seed, 1.8 * SPREAD, draw_points)
+    return _draw_scene(cls, n, m, seed, 1.8 * SPREAD, draw_points)
 
 
 def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 0,
@@ -547,18 +550,17 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
 
     The rank can only drop on thin subsets of configuration space, so the max
     over independent draws estimates the generic value. Each trial's
-    spectrum comes from ``jacobian_rank``. Cells whose dense Jacobian would
-    have more than ``MAX_JACOBIAN_ENTRIES`` entries are refused before any
-    scene is drawn.
+    spectrum comes from ``jacobian_rank``. Cells whose Jacobian has more than
+    ``MAX_ENTRIES`` entries are refused before any scene is drawn.
     """
     n, m = _checked_counts(n, m)
     (trials,) = checked_ints("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows, cols = cls.s * n * m, cls.d * n + cls.f * m + cls.h
-    if rows * cols > MAX_JACOBIAN_ENTRIES:
+    if rows * cols > MAX_ENTRIES:
         raise ValueError(f"{cls.name} ({n},{m}): a {rows} x {cols} Jacobian exceeds "
-                         f"{MAX_JACOBIAN_ENTRIES} entries")
+                         f"{MAX_ENTRIES} entries")
     reports = [
         jacobian_rank(random_scene(cls, n, m, seed=(seed, t)), slice(None), rel_tol)
         for t in range(trials)

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .cameras import GROUPS, Camera, CameraClass, checked_array
 from .errors import DegenerateConfigurationError, GroupMismatchError
-from .sfm import JetScene, Scene, fd_jacobian, jacobian, single_columns
+from .sfm import JetScene, Scene, fd_jacobian, jacobian
 
 _ORTHO_TOL = 1e-10
 KERNEL_TOL = 1e-5  # largest relative residual |J v| / (|J| |v|) of a symmetry direction v
@@ -109,7 +109,7 @@ def generators(scene: Scene | JetScene) -> np.ndarray:
     finite-difference Jacobian of the group action at the identity."""
     cls = scene.cls
     G = fd_jacobian(lambda t: act_scene(_element(cls.group, cls.d, t), scene).to_vector(),
-                    np.zeros(cls.g), scene.dim, scene.angle_mask, single_columns(cls.g))
+                    np.zeros(cls.g), scene.angle_mask, range(cls.g))
     if not np.all(np.isfinite(G)):
         raise DegenerateConfigurationError("generators undefined at a singular scene")
     return G

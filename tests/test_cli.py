@@ -92,6 +92,15 @@ def test_rank_refuses_a_huge_cell(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_huge_scene(tmp_path, capsys):
+    sp, mp = tmp_path / "scene.json", tmp_path / "meas.json"
+    assert main(["simulate", "omni-3d", "100000", "100000",
+                 "--out-scene", str(sp), "--out-measurements", str(mp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds" in err
+    assert not sp.exists() and not mp.exists()
+
+
 def test_simulate_is_deterministic(tmp_path):
     paths = [(tmp_path / f"s{k}.json", tmp_path / f"m{k}.json") for k in range(2)]
     for sp, mp in paths:

@@ -48,6 +48,10 @@ CASES = {
                                    "n >= 1"),
     "circle jets without cameras": (lambda: random_jet_scene(OMNI, 3, 0, seed=0), ValueError,
                                     "m >= 1"),
+    "scene of a huge count": (lambda: random_scene(OMNI_3D, 100_000, 100_000, seed=0), ValueError,
+                              "exceeds"),
+    "circle jets of a huge count": (lambda: random_jet_scene(OMNI, 100_000, 100_000, seed=0),
+                                    ValueError, "exceeds"),
     "circle jets in 3-D": (lambda: random_jet_scene(catalog_lookup("omni-3d"), 3, 3, seed=0),
                            ValueError, "planar"),
     "no rank trials": (lambda: generic_rank(OMNI, 3, 3, trials=0), ValueError, "trials"),

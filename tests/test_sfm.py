@@ -222,8 +222,7 @@ def _taylor_scene(n, m, seed):
 def _per_column_jacobian(scene):
     """The measurement Jacobian with one evaluation pair per coordinate."""
     return sfm.fd_jacobian(lambda v: evaluate(scene.with_vector(v)).flat(), scene.to_vector(),
-                           scene.cls.s * scene.n * scene.m, scene.output_angle_mask,
-                           sfm.single_columns(scene.dim))
+                           scene.output_angle_mask, range(scene.dim))
 
 
 GROUPED_SCENES = (
@@ -247,17 +246,29 @@ def test_grouped_jacobian_equals_the_per_column_loop(kind, n, m):
     assert np.array_equal(jacobian(scene), _per_column_jacobian(scene))
 
 
+def _dense_jacobian(scene):
+    raise AssertionError("the dense Jacobian was built")
+
+
 @pytest.mark.parametrize("kind", [c.name for c in catalog()] + ["circle omni-2d", "taylor"])
 def test_jacobian_evaluations_do_not_grow_with_the_scene(kind, monkeypatch):
+    """``jacobian`` makes 2*(point_dim + f + h) evaluations, and so do
+    ``jacobian_factor`` and ``generic_rank``, without building the dense J."""
     measure = sfm._SceneLayout.measure
     for n, m in ((3, 3), (12, 9)):
         scene = _grouped_scene(kind, n, m, seed=91)
-        calls = []
-        monkeypatch.setattr(sfm._SceneLayout, "measure",
-                            lambda s, v: calls.append(v) or measure(s, v))
-        jacobian(scene)
-        monkeypatch.undo()
-        assert len(calls) == 2 * (scene.point_dim + scene.cls.f + scene.cls.h)
+        runs = [lambda: jacobian(scene), lambda: sfm.jacobian_factor(scene)]
+        if scene.model == "static":
+            runs.append(lambda: generic_rank(scene.cls, n, m, trials=1))
+        for k, run in enumerate(runs):
+            calls = []
+            monkeypatch.setattr(sfm._SceneLayout, "measure",
+                                lambda s, v: calls.append(v) or measure(s, v))
+            if k:
+                monkeypatch.setattr(sfm, "jacobian", _dense_jacobian)
+            run()
+            monkeypatch.undo()
+            assert len(calls) == 2 * (scene.point_dim + scene.cls.f + scene.cls.h)
 
 
 MEASURED_SCENES = (
