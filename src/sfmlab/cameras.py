@@ -36,6 +36,9 @@ GROUPS: dict[str, tuple[bool, bool]] = {
     "similarity": (True, True),
 }
 
+# (key, matrices) of the latest CameraClass._rotations block, replaced as one tuple
+_last_rotations: tuple = (None, None)
+
 
 @dataclass(frozen=True)
 class CameraClass:
@@ -88,6 +91,20 @@ class CameraClass:
     def rotation(self, p: np.ndarray) -> np.ndarray:  # (d, d), or (m, d, d) for (m, f)
         return geometry.rotation_matrix(self.d, p[..., self.rotation_slice])
 
+    def _rotations(self, P: np.ndarray) -> np.ndarray:
+        """``rotation(P)`` for a block of camera rows, computed once while
+        successive blocks hold the same orientation coordinates, as the finite
+        differences of point coordinates do. The result must not be written."""
+        global _last_rotations
+        coords = P[..., self.rotation_slice]
+        # matmul rounds by memory layout, so the strides belong to the key
+        key = (self.d, coords.shape, coords.strides, coords.tobytes())
+        last_key, R = _last_rotations
+        if last_key != key:
+            R = geometry.rotation_matrix(self.d, coords)
+            _last_rotations = (key, R)
+        return R
+
     def _turned(self, p: np.ndarray, R: np.ndarray) -> np.ndarray:
         """Orientation coordinates of the camera after rotating the world by ``R``."""
         return geometry.rotation_log(self.d, self.rotation(p) @ R.T)
@@ -119,7 +136,7 @@ class AffineClass(CameraClass):
         return slice(0, self.rot_dim)
 
     def project(self, P, glob, X):
-        return X @ self.rotation(P).swapaxes(-1, -2)[..., : self.s] + P[:, None, self.rot_dim:]
+        return X @ self._rotations(P).swapaxes(-1, -2)[..., : self.s] + P[:, None, self.rot_dim:]
 
     def embed(self, p, glob, r):
         lifted = np.zeros(self.d)
@@ -171,7 +188,7 @@ class OmniClass(CameraClass):
             if not self.oriented:
                 theta -= P[:, 2:3]
             return geometry.wrap_angle(theta)[..., None]  # chart is (-pi, pi]
-        frame = delta if self.oriented else delta @ self.rotation(P).swapaxes(-1, -2)
+        frame = delta if self.oriented else delta @ self._rotations(P).swapaxes(-1, -2)
         theta = geometry.wrap_angle(np.arctan2(frame[..., 1], frame[..., 0]))
         phi = np.arccos(np.clip(frame[..., 2] / dist, -1.0, 1.0))
         return np.stack([theta, phi], -1)
@@ -264,7 +281,7 @@ class PerspectiveClass(CameraClass):
     def _frame(self, P, glob, X):
         """Camera-frame coordinates of the positions, and their signed
         distances in front of the projection-center plane."""
-        Y = (X - P[:, None, : self.d]) @ self.rotation(P).swapaxes(-1, -2)
+        Y = (X - P[:, None, : self.d]) @ self._rotations(P).swapaxes(-1, -2)
         return Y, Y[..., self.d - 1] + self.focal(P, glob)
 
     def project(self, P, glob, X):

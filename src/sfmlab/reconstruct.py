@@ -141,9 +141,10 @@ class SolveReport:
     cost_history: tuple[float, ...]  # accepted costs, never increasing
 
 
-def _lm(residual, x0: np.ndarray, wrap: np.ndarray):
+def _lm(residual, jacobian, x0: np.ndarray):
     """Damped Gauss-Newton with identity damping: halve on acceptance,
-    quadruple on rejection. Accepted steps never increase the cost."""
+    quadruple on rejection. Accepted steps never increase the cost.
+    ``jacobian(x)`` is the Jacobian of ``residual`` at ``x``."""
     x = x0.copy()
     r = residual(x)
     cost = float(r @ r)
@@ -153,7 +154,7 @@ def _lm(residual, x0: np.ndarray, wrap: np.ndarray):
     grad_norm = float("inf")
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        J = fd_jacobian(residual, x, wrap, range(x.size))
+        J = jacobian(x)
         grad = J.T @ r
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < GRADIENT_TOL:
@@ -211,18 +212,24 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
     target = measurements.data.ravel()
     wrap = init.output_angle_mask
     free = ~gauge.mask
+    columns = np.flatnonzero(free)
     base = init.to_vector()  # already holds the pinned values
 
-    def residual(x_free):
+    def full(x_free):
         vec = base.copy()
         vec[free] = x_free
-        r = init.measure(vec) - target
+        return vec
+
+    def residual(x_free):
+        r = init.measure(full(x_free)) - target
         r[wrap] = geometry.wrap_angle(r[wrap])
         return r
 
-    x, iterations, converged, grad_norm, history = _lm(residual, base[free], wrap)
-    vec = base.copy()
-    vec[free] = x
+    def jacobian(x_free):  # the residual's Jacobian is the measurement map's
+        return fd_jacobian(init.measure, full(x_free), wrap, columns)
+
+    x, iterations, converged, grad_norm, history = _lm(residual, jacobian, base[free])
+    vec = full(x)
     rmse = float(np.sqrt(history[-1] / target.size))
     return SolveReport(init.with_vector(vec), rmse, iterations, converged, grad_norm, gauge,
                        history)

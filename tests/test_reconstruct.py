@@ -5,7 +5,7 @@ import pytest
 
 from sfmlab.cameras import Camera, catalog_lookup
 from sfmlab.errors import InfeasibleCountError
-from sfmlab import reconstruct
+from sfmlab import geometry, reconstruct
 from sfmlab.reconstruct import (
     GaugeChart,
     gauge_fix,
@@ -22,6 +22,8 @@ from sfmlab.sfm import (
     Scene,
     evaluate,
     evaluate_jet,
+    fd_jacobian,
+    jacobian,
     random_jet_scene,
     random_scene,
 )
@@ -193,6 +195,51 @@ def test_solve_builds_no_scene_per_evaluation(monkeypatch):
     assert built_a == built_b == built_c
 
 
+class _Captured(Exception):
+    pass
+
+
+def _lm_jacobian(monkeypatch, init):
+    """The Jacobian callable and the start vector that ``solve`` hands to
+    ``_lm`` for the measurements of ``init`` itself."""
+    captured = {}
+
+    def capture(residual, jacobian, x0):
+        captured.update(jacobian=jacobian, x0=x0)
+        raise _Captured
+
+    monkeypatch.setattr(reconstruct, "_lm", capture)
+    with pytest.raises(_Captured):
+        solve(init.cls, evaluate(init), init)
+    return captured["jacobian"], captured["x0"]
+
+
+def _solve_start(kind, seed):
+    cls = catalog_lookup(kind.split()[-1])
+    draw = random_jet_scene if kind.startswith("circle ") else random_scene
+    return perturb_scene(draw(cls, 7, 6, seed=seed), 0.05, seed=seed + 1)
+
+
+@pytest.mark.parametrize("kind", ["perspective-3d", "omni-3d", "circle omni-2d"])
+def test_lm_jacobian_is_the_measurement_jacobian_of_the_free_coordinates(kind, monkeypatch):
+    init = _solve_start(kind, 130)
+    lm_jacobian, x0 = _lm_jacobian(monkeypatch, init)
+    assert np.array_equal(lm_jacobian(x0), jacobian(init)[:, ~gauge_fix(init).mask])
+
+
+def test_lm_jacobian_computes_each_camera_rotation_block_once(monkeypatch):
+    """Stepping a point coordinate leaves every camera alone, so only the
+    camera columns and the first evaluation compute rotations."""
+    init = _solve_start("omni-3d", 132)
+    lm_jacobian, x0 = _lm_jacobian(monkeypatch, init)
+    free_camera_coordinates = np.count_nonzero(~gauge_fix(init).mask[init.columns()[1]])
+    calls = []
+    rot3 = geometry.rot3
+    monkeypatch.setattr(geometry, "rot3", lambda rho: calls.append(1) or rot3(rho))
+    lm_jacobian(x0)
+    assert 0 < len(calls) <= 2 * free_camera_coordinates + 1
+
+
 def test_gauge_independence_of_the_reconstruction():
     """Listing the points in another order makes another point the gauge
     anchor; the reconstruction is the same modulo the group."""
@@ -277,7 +324,8 @@ def test_lm_stops_when_a_step_barely_lowers_the_cost():
     """From x = 5e-8 the residual [x, 1] has cost 1 + 2.5e-15: the first step
     lowers it by a share below COST_DECREASE_TOL, which counts as converged."""
     x, iterations, converged, grad_norm, history = reconstruct._lm(
-        lambda x: np.array([x[0], 1.0]), np.array([5e-8]), np.zeros(2, dtype=bool))
+        res := lambda x: np.array([x[0], 1.0]),
+        lambda x: fd_jacobian(res, x, np.zeros(2, dtype=bool), range(x.size)), np.array([5e-8]))
     assert iterations == 1 and converged
     assert abs(x[0]) < 1e-10 and grad_norm < 1e-10
     assert len(history) == 2 and history[1] < history[0]
@@ -289,8 +337,8 @@ def test_lm_gives_up_when_the_damping_runs_out():
     damping up to 1e12 is rejected and the solver stops, unconverged, where it
     started."""
     x, iterations, converged, grad_norm, history = reconstruct._lm(
-        lambda x: np.array([1.0 + x[0] + 10.0 * abs(x[0])]), np.array([0.0]),
-        np.zeros(1, dtype=bool))
+        res := lambda x: np.array([1.0 + x[0] + 10.0 * abs(x[0])]),
+        lambda x: fd_jacobian(res, x, np.zeros(1, dtype=bool), range(x.size)), np.array([0.0]))
     assert iterations == 1 and not converged
     assert x.tolist() == [0.0] and history == (1.0,)
     assert grad_norm > 0.5

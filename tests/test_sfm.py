@@ -283,8 +283,15 @@ def test_measure_equals_evaluate_of_the_rebuilt_scene(kind, n, m):
     scene = _grouped_scene(kind, n, m, seed=92)
     vec = scene.to_vector()
     moved = vec * (1.0 + 1e-3 * np.random.default_rng(93).uniform(-1.0, 1.0, size=vec.size))
-    for v in (vec, moved):
-        assert np.array_equal(scene.measure(v), evaluate(scene.with_vector(v)).flat())
+    rotation = scene.cls.rotation_slice
+    nudged = moved.copy()  # one ulp apart in a rotation coordinate: a stale rotation shows
+    k = scene.columns()[1][0, rotation.start if rotation else 0]
+    nudged[k] = np.nextafter(moved[k], np.inf)
+    inputs = (vec, moved, nudged)
+    # references in reverse order, so nudged's is not computed right after moved's
+    expected = [evaluate(scene.with_vector(v)).flat() for v in inputs[::-1]][::-1]
+    for v, want in zip(inputs, expected):
+        assert np.array_equal(scene.measure(v), want)
     bad = {"wrong length": vec[:-1], "NaN": np.where(np.arange(vec.size) == 0, np.nan, vec),
            "inf": np.where(np.arange(vec.size) == vec.size - 1, np.inf, vec)}
     if kind.startswith("circle "):
