@@ -119,16 +119,16 @@ def doc_to_scene(doc: dict) -> Scene | JetScene:
         raise FormatError("scene: 'cameras' must be a list")
     glob = _numbers(doc.get("globals", []), "scene globals")
     try:
-        cams = [Camera(cls, _numbers(_require(c, "params", "camera"), "camera params"))
-                for c in cam_docs]
+        params = [Camera(cls, _numbers(_require(c, "params", "camera"), "camera params")).params
+                  for c in cam_docs]
         if "model" in doc:
             model = str(doc["model"])
             motion = _numbers(_require(doc, "motion", "jet scene"), "jet scene motion")
             times = _numbers(_require(doc, "times", "jet scene"), "jet scene times")
-            return JetScene(cls, model, motion, times, cams, glob,
+            return JetScene(cls, model, motion, times, params, glob,
                             _number(doc.get("omega", 0.0), "jet scene omega"))
         points = _numbers(_require(doc, "points", "scene"), "scene points")
-        return Scene(cls, points, cams, glob)
+        return Scene(cls, points, params, glob)
     except ValueError as exc:
         raise FormatError(f"scene document invalid: {exc}") from None
 

@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import geometry
-from .cameras import SPREAD, Camera, CameraClass, checked_array, checked_globals
+from .cameras import SPREAD, CameraClass, checked_array, checked_globals
 from .counting import checked_ints, feasible
 from .errors import DegenerateConfigurationError
 
@@ -45,38 +45,24 @@ class _SceneLayout:
     Each point owns ``point_dim`` motion coefficients, viewed as ``coefficients``
     of shape (n, rows, d). Row 0 is the anchor, which moves like a point under
     the symmetry group; the other rows (radius vectors, higher Taylor terms)
-    only rotate and scale. ``with_coefficients`` rebuilds the scene from such
-    rows, and ``shot_positions()`` gives the positions every camera
-    photographs, shape (m, n, d). The coordinate vector is all coefficients,
-    then each camera's parameters (the rows of ``params``), then the
-    scene-level parameters; ``measure`` maps it to the flattened
-    measurements.
+    only rotate and scale. ``shot_positions()`` gives the positions every
+    camera photographs, shape (m, n, d). The cameras are the rows of the
+    (m, f) array ``params``. The coordinate vector is all coefficients, then
+    each camera's parameters, then the scene-level parameters;
+    ``with_vector`` rebuilds the scene from it, and ``measure`` maps it to
+    the flattened measurements.
     """
 
     def _check_cameras(self) -> None:
-        """Freeze ``params`` as a checked (m, f) array, stacked first from a
-        sequence of cameras of the scene's class, and the shared parameters."""
-        cls, params = self.cls, self.params
-        if not isinstance(params, np.ndarray):
-            params = tuple(params)
-            if not all(isinstance(c, Camera) and c.cls.name == cls.name for c in params):
-                raise ValueError(f"cameras must be {cls.name} Camera objects or an (m, f) array")
-            params = [c.params for c in params]
-        object.__setattr__(self, "params", checked_array(f"{cls.name} camera parameters", params,
-                                                         (None, cls.f)))
+        """Freeze ``params`` as a checked (m, f) array, and the shared parameters."""
+        cls = self.cls
+        object.__setattr__(self, "params", checked_array(f"{cls.name} camera parameters",
+                                                         self.params, (None, cls.f)))
         object.__setattr__(self, "globals_vec", checked_globals(cls, self.globals_vec))
 
     @property
     def m(self) -> int:
         return self.params.shape[0]
-
-    @property
-    def cams(self) -> tuple[Camera, ...]:
-        """The cameras as ``Camera`` objects, built on each access."""
-        return tuple(Camera(self.cls, p) for p in self.params)
-
-    def positions(self, j: int) -> np.ndarray:  # row j of shot_positions()
-        return self.shot_positions()[j]
 
     def shot_positions(self) -> np.ndarray:
         return self._positions(self.coefficients)
@@ -154,7 +140,7 @@ class _SceneLayout:
 
 @dataclass(frozen=True)
 class Scene(_SceneLayout):
-    """Static configuration: points, camera parameters (or cameras), shared parameters."""
+    """Static configuration: points, camera parameters, shared parameters."""
 
     cls: CameraClass
     points: np.ndarray  # (n, d)
@@ -180,9 +166,6 @@ class Scene(_SceneLayout):
 
     def _positions(self, coefficients: np.ndarray) -> np.ndarray:
         return coefficients[:, 0, :][None].repeat(self.m, axis=0)
-
-    def with_coefficients(self, coefficients: np.ndarray, params: np.ndarray) -> "Scene":
-        return Scene(self.cls, coefficients[:, 0, :], params, self.globals_vec)
 
     def with_vector(self, vec: np.ndarray) -> "Scene":
         return scene_from_vector(self.cls, self.n, self.m, vec)
@@ -223,9 +206,8 @@ class JetScene(_SceneLayout):
     ``model`` selects the motion law. ``circle`` keeps each point on a
     circle traversed at the shared known angular velocity ``omega``; its
     coefficient row is [center, radius vector]. ``taylor`` stores polynomial
-    coefficients of shape (k+1, d) per point. ``params`` may be given as a
-    sequence of ``Camera`` objects. The motion law's time factors at the shot
-    times are computed once per scene, on first use.
+    coefficients of shape (k+1, d) per point. The motion law's time factors
+    at the shot times are computed once per scene, on first use.
     """
 
     cls: CameraClass
@@ -273,10 +255,6 @@ class JetScene(_SceneLayout):
 
     def _positions(self, coefficients: np.ndarray) -> np.ndarray:
         return _moved(self._basis, coefficients.reshape(self.motion.shape), self.model)
-
-    def with_coefficients(self, coefficients: np.ndarray, params: np.ndarray) -> "JetScene":
-        return JetScene(self.cls, self.model, coefficients.reshape(self.motion.shape), self.times,
-                        params, self.globals_vec, self.omega)
 
     def with_vector(self, vec: np.ndarray) -> "JetScene":
         motion, params, glob = _split_vector(self.cls, self.motion.shape, self.m, vec)

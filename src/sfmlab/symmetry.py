@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .cameras import GROUPS, Camera, CameraClass, checked_array
 from .errors import DegenerateConfigurationError, GroupMismatchError
-from .sfm import JetScene, Scene, fd_jacobian, jacobian
+from .sfm import JetScene, Scene, fd_jacobian, jacobian_factor
 
 _ORTHO_TOL = 1e-10
 KERNEL_TOL = 1e-5  # largest relative residual |J v| / (|J| |v|) of a symmetry direction v
@@ -77,7 +77,8 @@ def act_scene(gamma: GroupElement, scene: Scene | JetScene) -> Scene | JetScene:
     moved = coefficients @ (gamma.scale * gamma.rotation).T
     moved[:, 0, :] = act_point(gamma, coefficients[:, 0, :])
     params = [cls.act(p, gamma.scale, gamma.rotation, gamma.translation) for p in scene.params]
-    return scene.with_coefficients(moved, np.array(params))
+    return scene.with_vector(np.concatenate([moved.reshape(-1), np.ravel(params),
+                                             scene.globals_vec]))
 
 
 def random_element(group: str, d: int, seed) -> GroupElement:
@@ -197,10 +198,12 @@ def kernel_check(scene: Scene | JetScene) -> KernelCheckReport:
     """Verify that every symmetry generator is annihilated by the Jacobian.
 
     Checks |J v| <= KERNEL_TOL * |J| * |v| for each generator column v;
-    directions that change the pictures fail the bound.
+    directions that change the pictures fail the bound. Both norms are read
+    from ``jacobian_factor``: J = Q M with orthonormal Q, so |J v| = |M v|
+    and |J| = |M|.
     """
-    J = jacobian(scene)
+    M = jacobian_factor(scene)
     G = generators(scene)
-    jnorm = float(np.linalg.norm(J, 2))
-    ratios = np.linalg.norm(J @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))
+    jnorm = float(np.linalg.norm(M, 2))
+    ratios = np.linalg.norm(M @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))
     return KernelCheckReport(ratios, KERNEL_TOL, bool(np.all(ratios <= KERNEL_TOL)))

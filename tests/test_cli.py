@@ -153,7 +153,7 @@ def test_jet_scene_files_round_trip(tmp_path):
     base = random_scene(catalog_lookup("omni-oriented-2d"), 3, 3, seed=4)
     motion = np.stack([base.points, 0.1 * base.points], axis=1)
     taylor = JetScene(base.cls, "taylor", motion, np.array([0.0, 0.5, 1.0]),
-                      base.cams, base.globals_vec)
+                      base.params, base.globals_vec)
     t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"
     io.write_json(t1, io.scene_to_doc(taylor))
     reread = io.doc_to_scene(io.read_json(t1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sfmlab import io
-from sfmlab.cameras import catalog_lookup, embed
+from sfmlab.cameras import Camera, catalog_lookup, embed
 from sfmlab.counting import (
     anchored_slack,
     jet_feasible,
@@ -75,8 +75,8 @@ CASES = {
         lambda: io.doc_to_scene({k: v for k, v in io.scene_to_doc(SCENE).items()
                                  if k != "cameras"}),
         FormatError, "missing field 'cameras'"),
-    "chart of the wrong length": (lambda: embed(SCENE.cams[0], [], [0.1, 0.2]), ChartRangeError,
-                                  "chart has 1 coordinates"),
+    "chart of the wrong length": (lambda: embed(Camera(OMNI, SCENE.params[0]), [], [0.1, 0.2]),
+                                  ChartRangeError, "chart has 1 coordinates"),
     "min_cameras without points": (lambda: min_cameras(OMNI, 0), ValueError, "n >= 1"),
     "jet_feasible with a negative dimension": (lambda: jet_feasible(-1, 2, 3, 0, 1, 3, 3),
                                                ValueError, "non-negative"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfmlab.cameras import Camera, catalog_lookup
+from sfmlab.cameras import catalog_lookup
 from sfmlab.errors import InfeasibleCountError
 from sfmlab import geometry, reconstruct
 from sfmlab.reconstruct import (
@@ -144,9 +144,8 @@ def test_round_trip_across_the_angle_seam():
     # bearings straddling +-pi: the wrapped residual must not see 2*pi jumps
     cls = catalog_lookup("omni-oriented-2d")
     pts = np.array([[-3.0, 0.05], [-2.4, -1.6], [-3.6, 1.8]])  # west of all cameras
-    cams = tuple(Camera(cls, np.array([x, y])) for x, y in
-                 [(0.0, 0.0), (0.9, 1.1), (-0.4, -1.2)])
-    truth = Scene(cls, pts, cams, np.zeros(0))
+    params = np.array([(0.0, 0.0), (0.9, 1.1), (-0.4, -1.2)])
+    truth = Scene(cls, pts, params, np.zeros(0))
     meas = evaluate(truth)
     assert np.max(np.abs(meas.data)) > 3.0  # seam actually exercised
     init = perturb_scene(truth, 0.05, seed=77)
@@ -283,12 +282,9 @@ def test_local_uniqueness_flags_deficient_cases():
 
     rng = np.random.default_rng(112)
     pts = np.column_stack([rng.uniform(-2, 2, size=(3, 2)), np.zeros(3)])
-    cams = tuple(
-        Camera(cls, np.concatenate([[0.0, 0.0, rng.uniform(-np.pi, np.pi)],
-                                    rng.uniform(-2, 2, size=2)]))
-        for _ in range(3)
-    )
-    coplanar = Scene(cls, pts, cams, np.zeros(0))
+    params = [np.concatenate([[0.0, 0.0, rng.uniform(-np.pi, np.pi)],
+                              rng.uniform(-2, 2, size=2)]) for _ in range(3)]
+    coplanar = Scene(cls, pts, params, np.zeros(0))
     assert not local_uniqueness(coplanar, gauge_fix(coplanar)).passed
 
 
@@ -356,7 +352,7 @@ def test_order_zero_taylor_scene_matches_its_static_scene(name):
     cls = catalog_lookup(name)
     scene = random_scene(cls, 5, 3, seed=150)
     js = JetScene(cls, "taylor", scene.points[:, None, :], np.array([0.0, 0.5, 1.5]),
-                  scene.cams, scene.globals_vec)
+                  scene.params, scene.globals_vec)
     assert np.array_equal(js.to_vector(), scene.to_vector())
     assert np.array_equal(evaluate_jet(js).data, evaluate(scene).data)
     assert np.array_equal(jacobian(js), jacobian(scene))

@@ -178,10 +178,8 @@ def test_align_with_noise_stays_bounded():
     moved = act_scene(g0, scene)
     rng = np.random.default_rng(43)
     noisy_points = moved.points + rng.uniform(-1e-3, 1e-3, size=moved.points.shape)
-    noisy_cams = tuple(
-        Camera(cls, c.params + rng.uniform(-1e-3, 1e-3, size=cls.f)) for c in moved.cams
-    )
-    noisy = Scene(cls, noisy_points, noisy_cams, moved.globals_vec)
+    noisy_params = moved.params + rng.uniform(-1e-3, 1e-3, size=moved.params.shape)
+    noisy = Scene(cls, noisy_points, noisy_params, moved.globals_vec)
     _, rmse = align(scene, noisy)
     assert rmse <= 2e-3
 
@@ -195,7 +193,7 @@ def test_taylor_jet_action_and_alignment_round_trip():
     rng = np.random.default_rng(141)
     motion = np.stack([base.points, rng.uniform(-0.5, 0.5, size=(4, 2))], axis=1)
     js = JetScene(cls, "taylor", motion, np.array([0.0, 0.4, 0.9]),
-                  base.cams, base.globals_vec)
+                  base.params, base.globals_vec)
     gamma = random_element(cls.group, cls.d, 142)
     moved = act_scene(gamma, js)
     # the action preserves every picture
@@ -209,7 +207,7 @@ def test_taylor_jet_action_and_alignment_round_trip():
 def test_align_rejects_degenerate_points():
     cls = catalog_lookup("affine-ortho-3d")
     pts = np.zeros((3, 3))  # all coincident: rotation not identifiable
-    cams = tuple(random_camera(cls, k) for k in range(2))
-    scene = Scene(cls, pts, cams, np.zeros(0))
+    params = [random_camera(cls, k).params for k in range(2)]
+    scene = Scene(cls, pts, params, np.zeros(0))
     with pytest.raises(DegenerateConfigurationError):
         align(scene, scene)
