@@ -8,6 +8,11 @@ covers the unknown count:
 
 Everything here is exact integer arithmetic; no tolerances. The moving-point
 variant replaces ``d`` by the per-point motion-model dimension.
+
+This module also owns what a valid input to the inequality is:
+``checked_counts`` turns the dimensions ``point_dim, f, g, h, s`` into ints
+>= 0 and the counts (points, cameras, grid bounds, rank trials) into ints
+>= 1, and every entry point here and in ``sfm`` goes through it.
 """
 
 from __future__ import annotations
@@ -63,6 +68,22 @@ def checked_ints(what: str, *values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def checked_counts(*dims, **counts) -> tuple[int, ...]:
+    """``dims`` as ints >= 0, then ``counts`` as ints >= 1, in the order given.
+
+    A non-integer raises ValueError (``checked_ints``), a negative dimension
+    raises ``dimensions must be non-negative``, and each count below 1 is
+    named: ``need n >= 1 and m >= 1``.
+    """
+    values = checked_ints("counts and dimensions", *dims, *counts.values())
+    if any(v < 0 for v in values[:len(dims)]):
+        raise ValueError("dimensions must be non-negative")
+    low = [name for name, v in zip(counts, values[len(dims):]) if v < 1]
+    if low:
+        raise ValueError("need " + " and ".join(f"{name} >= 1" for name in low))
+    return values
+
+
 def feasible(cls: CameraClass | str, n: int, m: int) -> FeasibilityReport:
     c = _cls(cls)
     return jet_feasible(c.d, c.f, c.g, c.h, c.s, n, m)
@@ -92,9 +113,7 @@ def min_points(cls: CameraClass | str, m: int) -> int | None:
 def min_cameras(cls: CameraClass | str, n: int) -> int | None:
     """Smallest feasible camera count for ``n`` points, None if no count works."""
     c = _cls(cls)
-    (n,) = checked_ints("counts", n)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    (n,) = checked_counts(n=n)
     return _min_count(c.s * n - c.f, c.g - c.d * n - c.h)
 
 
@@ -105,9 +124,7 @@ def forbidden_region(cls: CameraClass | str, n_max: int, m_max: int) -> list[lis
     cannot be locally unique no matter the data.
     """
     c = _cls(cls)
-    n_max, m_max = checked_ints("grid bounds", n_max, m_max)
-    if n_max < 1 or m_max < 1:
-        raise ValueError("grid bounds must be >= 1")
+    n_max, m_max = checked_counts(n_max=n_max, m_max=m_max)
     return [[feasible(c, n, m) for m in range(1, m_max + 1)] for n in range(1, n_max + 1)]
 
 
@@ -115,11 +132,7 @@ def jet_feasible(point_dim: int, f: int, g: int, h: int, s: int,
                  n: int, m: int) -> FeasibilityReport:
     """Dimension inequality for moving points with ``point_dim`` coefficients
     per point: point_dim*n + f*m + h <= s*n*m + g."""
-    point_dim, f, g, h, s, n, m = checked_ints("counts", point_dim, f, g, h, s, n, m)
-    if min(point_dim, f, g, h, s) < 0:
-        raise ValueError("dimensions must be non-negative")
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    point_dim, f, g, h, s, n, m = checked_counts(point_dim, f, g, h, s, n=n, m=m)
     lhs = point_dim * n + f * m + h
     rhs = s * n * m + g
     return FeasibilityReport(n, m, lhs, rhs, rhs - lhs)
@@ -127,9 +140,7 @@ def jet_feasible(point_dim: int, f: int, g: int, h: int, s: int,
 
 def jet_min_points(point_dim: int, f: int, g: int, h: int, s: int, m: int) -> int | None:
     """Smallest feasible point count for the moving-point inequality."""
-    point_dim, f, g, h, s, m = checked_ints("counts", point_dim, f, g, h, s, m)
-    if m < 1:
-        raise ValueError("need m >= 1")
+    point_dim, f, g, h, s, m = checked_counts(point_dim, f, g, h, s, m=m)
     return _min_count(s * m - point_dim, g - f * m - h)
 
 
@@ -140,10 +151,9 @@ def jet_min_cameras(point_dim: int, f: int, g: int, h: int, s: int) -> int:
     Fewer cameras can still fit a few small point counts (``min_cameras``
     finds those). Solved by coefficient comparison: at m = point_dim / s the
     slack is g - f*m - h for every n, and above it the slack grows with n.
+    The measured values per picture ``s`` must be >= 1 here.
     """
-    point_dim, f, g, h, s = checked_ints("counts", point_dim, f, g, h, s)
-    if s < 1:
-        raise ValueError("need at least one measured value per picture (s >= 1)")
+    point_dim, f, g, h, s = checked_counts(point_dim, f, g, h, s=s)
     q, r = divmod(point_dim, s)
     return q if q >= 1 and r == 0 and g - f * q - h >= 0 else q + 1
 
@@ -162,9 +172,7 @@ def anchored_slack(cls: CameraClass | str, n: int, m: int) -> int:
     c = _cls(cls)
     if c.s != c.d - 1:
         raise ValueError("anchored form needs a hypersurface retina (s = d - 1)")
-    n, m = checked_ints("counts", n, m)
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    n, m = checked_counts(n=n, m=m)
     lhs = c.d * (n - 1) + (c.f - (c.d - 1)) * m + c.h
     rhs = (c.d - 1) * (n - 1) * m + (c.g - c.d)
     return rhs - lhs

@@ -61,36 +61,29 @@ def _greedy_pins(G: np.ndarray, forced: list[int], pools: list[list[int]], g: in
     """Pick ``g`` coordinate rows of the generator matrix with independent
     orbit responses: forced rows first, then greedy largest-residual rows."""
     chosen: list[int] = []
-    basis: list[np.ndarray] = []
+    rest = G.copy()  # every row's residual against the chosen pins' directions
 
-    def residual(row: int) -> np.ndarray:
-        v = G[row].copy()
-        for b in basis:
-            v -= (v @ b) * b
-        return v
+    def pin(row: int, norm: float) -> None:
+        nonlocal rest
+        b = rest[row] / norm
+        rest -= np.outer(rest @ b, b)
+        chosen.append(row)
 
     for row in forced:
-        v = residual(row)
-        norm = np.linalg.norm(v)
+        norm = np.linalg.norm(rest[row])
         if norm < 1e-9:
             raise DegenerateConfigurationError(
                 "template is degenerate: a forced gauge pin does not cut the orbit"
             )
-        chosen.append(row)
-        basis.append(v / norm)
+        pin(row, norm)
     for pool in pools:
-        if len(chosen) == g:
-            break
         candidates = [r for r in pool if r not in chosen]
         while len(chosen) < g and candidates:
-            norms = [np.linalg.norm(residual(r)) for r in candidates]
+            norms = np.linalg.norm(rest[candidates], axis=1)
             k = int(np.argmax(norms))
             if norms[k] < 1e-9:
                 break
-            row = candidates.pop(k)
-            v = residual(row)
-            chosen.append(row)
-            basis.append(v / np.linalg.norm(v))
+            pin(candidates.pop(k), norms[k])
     if len(chosen) != g:
         raise DegenerateConfigurationError("template is degenerate: gauge pins incomplete")
     return chosen

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry
 from .cameras import SPREAD, CameraClass, checked_array, checked_globals
-from .counting import checked_ints, feasible
+from .counting import checked_counts, feasible
 from .errors import DegenerateConfigurationError
 
 FD_STEP = 1e-6  # central-difference step of every finite-difference Jacobian
@@ -478,13 +478,6 @@ def _draw_scene(cls: CameraClass, n: int, m: int, seed, box: float,
     )
 
 
-def _checked_counts(n: int, m: int) -> tuple[int, int]:
-    n, m = checked_ints("counts", n, m)
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 points and m >= 1 cameras")
-    return n, m
-
-
 def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
     """Deterministic generic scene with singularity margins enforced.
 
@@ -493,7 +486,7 @@ def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
     cameras are placed outside the point cloud looking at it, so every point
     sits safely in front of the film.
     """
-    n, m = _checked_counts(n, m)
+    n, m = checked_counts(n=n, m=m)
 
     def draw_points(rng):
         points = rng.uniform(-SPREAD, SPREAD, size=(n, cls.d))
@@ -505,7 +498,7 @@ def random_scene(cls: CameraClass, n: int, m: int, seed) -> Scene:
 def random_jet_scene(cls: CameraClass, n: int, m: int, seed) -> JetScene:
     """Deterministic circle-motion scene observed by planar cameras, with
     shared parameters, camera placement and margins as in ``random_scene``."""
-    n, m = _checked_counts(n, m)
+    n, m = checked_counts(n=n, m=m)
     if cls.d != 2:
         raise ValueError("circle jets are planar")
     times = 0.35 * np.arange(m)
@@ -531,10 +524,7 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     spectrum comes from ``jacobian_rank``. Cells whose Jacobian has more than
     ``MAX_ENTRIES`` entries are refused before any scene is drawn.
     """
-    n, m = _checked_counts(n, m)
-    (trials,) = checked_ints("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    n, m, trials = checked_counts(n=n, m=m, trials=trials)
     rows, cols = cls.s * n * m, cls.d * n + cls.f * m + cls.h
     if rows * cols > MAX_ENTRIES:
         raise ValueError(f"{cls.name} ({n},{m}): a {rows} x {cols} Jacobian exceeds "

@@ -8,10 +8,12 @@ from sfmlab import io
 from sfmlab.cameras import Camera, catalog_lookup, embed
 from sfmlab.counting import (
     anchored_slack,
+    forbidden_region,
     jet_feasible,
     jet_min_cameras,
     jet_min_points,
     min_cameras,
+    min_points,
 )
 from sfmlab.errors import ChartRangeError, FormatError
 from sfmlab.reconstruct import solve
@@ -78,6 +80,9 @@ CASES = {
     "chart of the wrong length": (lambda: embed(Camera(OMNI, SCENE.params[0]), [], [0.1, 0.2]),
                                   ChartRangeError, "chart has 1 coordinates"),
     "min_cameras without points": (lambda: min_cameras(OMNI, 0), ValueError, "n >= 1"),
+    "min_points without cameras": (lambda: min_points(OMNI, 0), ValueError, "m >= 1"),
+    "forbidden_region without points": (lambda: forbidden_region(OMNI, 0, 3), ValueError,
+                                        "n_max >= 1"),
     "jet_feasible with a negative dimension": (lambda: jet_feasible(-1, 2, 3, 0, 1, 3, 3),
                                                ValueError, "non-negative"),
     "jet_feasible without points": (lambda: jet_feasible(2, 2, 3, 0, 1, 0, 3), ValueError,
@@ -86,6 +91,10 @@ CASES = {
                                        "m >= 1"),
     "jet_min_cameras without a retina": (lambda: jet_min_cameras(2, 2, 3, 0, 0), ValueError,
                                          "s >= 1"),
+    "jet_min_points with a negative dimension": (lambda: jet_min_points(-4, 3, 4, 0, 1, 3),
+                                                 ValueError, "non-negative"),
+    "jet_min_cameras with a negative dimension": (lambda: jet_min_cameras(-4, 3, 4, 0, 1),
+                                                  ValueError, "non-negative"),
     "anchored_slack without points": (lambda: anchored_slack(OMNI, 0, 2), ValueError, "n >= 1"),
     "predicted_rank of a float count": (lambda: predicted_rank(OMNI_3D, 2.5, 3), ValueError,
                                         "integers"),

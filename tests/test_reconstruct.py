@@ -32,15 +32,33 @@ from sfmlab.symmetry import act_scene, align, random_element
 from conftest import ALL_CLASS_NAMES
 
 
+# The exact pins of each class's (3,3) seed-7 scene, in the order chosen.
+PINS_3_3 = {
+    "affine-ortho-2d": (0, 1, 6),
+    "affine-ortho-3d": (0, 1, 2, 9, 10, 11),
+    "omni-oriented-2d": (0, 1, 3),
+    "omni-oriented-3d": (0, 1, 2, 4),
+    "omni-2d": (0, 1, 8, 3),
+    "omni-3d": (0, 1, 2, 12, 13, 14, 4),
+    "perspective-2d": (0, 1, 8),
+    "perspective-3d": (0, 1, 2, 12, 13, 14),
+    "perspective-known-2d": (0, 1, 8),
+    "perspective-known-3d": (0, 1, 2, 12, 13, 14),
+    "perspective-zoom-2d": (0, 1, 8, 3),
+    "perspective-zoom-3d": (0, 1, 2, 12, 13, 14, 4),
+    "line-3d": (0, 1, 2, 9, 10, 5),
+}
+
+
 def test_gauge_pin_counts():
-    expected = {"affine-ortho-3d": 6, "omni-oriented-2d": 3}
-    for name in ALL_CLASS_NAMES:
-        cls = catalog_lookup(name)
-        scene = random_scene(cls, 3, 3, seed=7)
+    assert set(PINS_3_3) == set(ALL_CLASS_NAMES)
+    jet = random_jet_scene(catalog_lookup("omni-2d"), 7, 6, seed=7)
+    scenes = [(random_scene(catalog_lookup(name), 3, 3, seed=7), PINS_3_3[name])
+              for name in ALL_CLASS_NAMES] + [(jet, (0, 1, 30, 2))]
+    for scene, pins in scenes:
         gauge = gauge_fix(scene)
-        assert len(gauge.indices) == cls.g
-        if name in expected:
-            assert len(gauge.indices) == expected[name]
+        assert len(gauge.indices) == scene.cls.g
+        assert gauge.indices == pins
         # pinned values are the template's own coordinates
         vec = scene.to_vector()
         assert np.allclose(gauge.values, vec[list(gauge.indices)])
