@@ -44,8 +44,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    if not 1 <= args.n_max <= 1000 or not 1 <= args.m_max <= 1000:
-        print("error: grid bounds must lie in 1..1000", file=sys.stderr)
+    if args.n_max > 1000 or args.m_max > 1000:
+        print("error: grid bounds must be at most 1000", file=sys.stderr)
         return 2
     cls = catalog_lookup(args.cls)
     grid = forbidden_region(cls, args.n_max, args.m_max)
@@ -86,14 +86,15 @@ def _load_scene(path):
 def _cmd_reconstruct(args) -> int:
     meas = io.doc_to_measurements(io.read_json(args.measurements))
     init = _load_scene(args.init)
+    truth = _load_scene(args.truth) if args.truth else None
     report = solve(init.cls, meas, init)
+    align_rmse = None if truth is None else align(report.scene, truth)[1]
     io.write_json(args.out, io.scene_to_doc(report.scene))
     print(f"rmse: {io.format_float(report.rmse)}")
     print(f"iterations: {report.iterations}")
     print(f"converged: {'true' if report.converged else 'false'}")
-    if args.truth:
-        _, rmse = align(report.scene, _load_scene(args.truth))
-        print(f"align_rmse: {io.format_float(rmse)}")
+    if align_rmse is not None:
+        print(f"align_rmse: {io.format_float(align_rmse)}")
     return 0 if report.converged else 1
 
 

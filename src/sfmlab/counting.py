@@ -60,22 +60,30 @@ def _cls(cls: CameraClass | str) -> CameraClass:
     return catalog_lookup(cls) if isinstance(cls, str) else cls
 
 
+def _is_int(v) -> bool:  # exact arithmetic needs integers; a truth value is not a count
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def checked_ints(what: str, *values) -> tuple[int, ...]:
-    """``values`` as Python ints; a float or a bool raises ValueError, since
-    exact arithmetic needs integers and a truth value is not a count."""
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+    """``values`` as Python ints; a non-integer raises ValueError."""
+    if not all(map(_is_int, values)):
         raise ValueError(f"{what} must be integers, got {values}")
     return tuple(int(v) for v in values)
 
 
 def checked_counts(*dims, **counts) -> tuple[int, ...]:
-    """``dims`` as ints >= 0, then ``counts`` as ints >= 1, in the order given.
+    """``dims`` (a prefix of ``point_dim, f, g, h, s``) as ints >= 0, then
+    ``counts`` as ints >= 1, in the order given.
 
-    A non-integer raises ValueError (``checked_ints``), a negative dimension
-    raises ``dimensions must be non-negative``, and each count below 1 is
-    named: ``need n >= 1 and m >= 1``.
+    A non-integer is named with its value (``must be integers, got n=2.5``),
+    a negative dimension raises ``dimensions must be non-negative``, and each
+    count below 1 is named: ``need n >= 1 and m >= 1``.
     """
-    values = checked_ints("counts and dimensions", *dims, *counts.values())
+    named = dict(zip(("point_dim", "f", "g", "h", "s"), dims), **counts)
+    bad = [f"{name}={v!r}" for name, v in named.items() if not _is_int(v)]
+    if bad:
+        raise ValueError(f"counts and dimensions must be integers, got {', '.join(bad)}")
+    values = tuple(int(v) for v in named.values())
     if any(v < 0 for v in values[:len(dims)]):
         raise ValueError("dimensions must be non-negative")
     low = [name for name, v in zip(counts, values[len(dims):]) if v < 1]
@@ -96,10 +104,7 @@ def _min_count(per_unit: int, constant: int) -> int | None:
     k = 0; solved by coefficient comparison, not bounded search.
     """
     if per_unit > 0:
-        need = -constant
-        if need <= per_unit:
-            return 1
-        return -(-need // per_unit)  # ceil division
+        return max(1, -(constant // per_unit))  # ceil(-constant / per_unit), at least 1
     # slack never grows with k; only k = 1 can work
     return 1 if per_unit + constant >= 0 else None
 

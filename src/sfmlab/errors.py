@@ -8,6 +8,8 @@ class SfmlabError(Exception):
 class UnknownClassError(SfmlabError, KeyError):
     """Requested camera class name is not in the catalog."""
 
+    __str__ = Exception.__str__  # the plain message; KeyError's would quote it
+
 
 class SingularConfigurationError(SfmlabError, ValueError):
     """A point lies on (or too close to) the singular set of a camera."""

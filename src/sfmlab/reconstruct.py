@@ -118,7 +118,7 @@ gauge_fix_jet = gauge_fix
 
 GRADIENT_TOL = 1e-10  # converged when |J^T r| falls below this
 COST_DECREASE_TOL = 1e-14  # converged when a step lowers the cost by a smaller share
-MAX_ITERATIONS = 500  # Jacobian evaluations before the solver gives up
+MAX_ITERATIONS = 500  # Jacobian evaluations (at least 1) before the solver gives up
 
 
 @dataclass(frozen=True)
@@ -137,25 +137,24 @@ class SolveReport:
 def _lm(residual, jacobian, x0: np.ndarray):
     """Damped Gauss-Newton with identity damping: halve on acceptance,
     quadruple on rejection. Accepted steps never increase the cost.
-    ``jacobian(x)`` is the Jacobian of ``residual`` at ``x``."""
+    ``jacobian(x)`` is the Jacobian of ``residual`` at ``x``. Each of the
+    four stops returns ``(x, iterations, converged, gradient_norm, history)``;
+    running out of damping or of iterations is not converged."""
     x = x0.copy()
     r = residual(x)
     cost = float(r @ r)
     history = [cost]
     damping = 1e-3
-    converged = False
-    grad_norm = float("inf")
-    iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         J = jacobian(x)
         grad = J.T @ r
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < GRADIENT_TOL:
-            converged = True
-            break
+            return x, iterations, True, grad_norm, tuple(history)
         JtJ = J.T @ J
-        accepted = False
-        while damping <= 1e12:
+        while True:
+            if damping > 1e12:
+                return x, iterations, False, grad_norm, tuple(history)
             try:
                 delta = np.linalg.solve(JtJ + damping * np.eye(x.size), -grad)
             except np.linalg.LinAlgError:
@@ -165,21 +164,15 @@ def _lm(residual, jacobian, x0: np.ndarray):
             r_try = residual(x_try)
             cost_try = float(r_try @ r_try)
             if cost_try < cost:
-                rel_drop = (cost - cost_try) / max(cost, 1e-300)
-                x, r, cost = x_try, r_try, cost_try
-                history.append(cost)
-                damping = max(damping * 0.5, 1e-15)
-                accepted = True
-                if rel_drop < COST_DECREASE_TOL:
-                    converged = True
                 break
             damping *= 4.0
-        if not accepted:
-            break
-        if converged:
-            grad_norm = float(np.linalg.norm(J.T @ r))
-            break
-    return x, iterations, converged, grad_norm, tuple(history)
+        rel_drop = (cost - cost_try) / max(cost, 1e-300)
+        x, r, cost = x_try, r_try, cost_try
+        history.append(cost)
+        damping = max(damping * 0.5, 1e-15)
+        if rel_drop < COST_DECREASE_TOL:
+            return x, iterations, True, float(np.linalg.norm(J.T @ r)), tuple(history)
+    return x, MAX_ITERATIONS, False, grad_norm, tuple(history)
 
 
 def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) -> SolveReport:
@@ -204,8 +197,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
     gauge = gauge_fix(init)
     target = measurements.data.ravel()
     wrap = init.output_angle_mask
-    free = ~gauge.mask
-    columns = np.flatnonzero(free)
+    free = np.flatnonzero(~gauge.mask)
     base = init.to_vector()  # already holds the pinned values
 
     def full(x_free):
@@ -219,12 +211,11 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
         return r
 
     def jacobian(x_free):  # the residual's Jacobian is the measurement map's
-        return fd_jacobian(init.measure, full(x_free), wrap, columns)
+        return fd_jacobian(init.measure, full(x_free), wrap, free)
 
     x, iterations, converged, grad_norm, history = _lm(residual, jacobian, base[free])
-    vec = full(x)
     rmse = float(np.sqrt(history[-1] / target.size))
-    return SolveReport(init.with_vector(vec), rmse, iterations, converged, grad_norm, gauge,
+    return SolveReport(init.with_vector(full(x)), rmse, iterations, converged, grad_norm, gauge,
                        history)
 
 

@@ -72,6 +72,7 @@ def test_region_line_camera_cell(tmp_path):
 
 def test_region_validates_bounds(tmp_path, capsys):
     assert main(["region", "omni-2d", "0", "5", "--out-csv", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: need n_max >= 1\n"
     assert main(["region", "omni-2d", "2000", "5", "--out-csv", str(tmp_path / "x.csv")]) == 2
 
 
@@ -85,6 +86,7 @@ def test_rank_exit_codes(capsys):
     assert doc["deficit"] >= 1
 
     assert main(["rank", "no-such-camera", "3", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown camera class 'no-such-camera'; ")
 
 
 def test_rank_refuses_a_huge_cell(capsys):
@@ -183,6 +185,22 @@ def test_reconstruct_round_trip_via_files(tmp_path, capsys):
     assert "converged: true" in out
     align_rmse = float(out.split("align_rmse: ")[1].split()[0])
     assert align_rmse < 1e-6
+
+
+def test_reconstruct_checks_the_truth_before_writing(tmp_path, capsys):
+    """A truth scene ``align`` refuses stops the command before it writes the
+    solved scene or prints a report."""
+    cls = catalog_lookup("omni-oriented-2d")
+    scene = random_scene(cls, 3, 3, seed=4)
+    sp, mp, tp = tmp_path / "s.json", tmp_path / "m.json", tmp_path / "t.json"
+    io.write_json(sp, io.scene_to_doc(scene))
+    io.write_json(mp, io.measurements_to_doc(evaluate(scene)))
+    io.write_json(tp, io.scene_to_doc(random_scene(cls, 4, 3, seed=4)))
+    out_p = tmp_path / "out.json"
+    assert main(["reconstruct", str(mp), str(sp), str(out_p), "--truth", str(tp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_p.exists()
+    assert "point count" in captured.err
 
 
 def test_reconstruct_bad_json_and_infeasible(tmp_path, capsys):

@@ -8,6 +8,7 @@ from sfmlab import io
 from sfmlab.cameras import Camera, catalog_lookup, embed
 from sfmlab.counting import (
     anchored_slack,
+    feasible,
     forbidden_region,
     jet_feasible,
     jet_min_cameras,
@@ -96,6 +97,8 @@ CASES = {
     "jet_min_cameras with a negative dimension": (lambda: jet_min_cameras(-4, 3, 4, 0, 1),
                                                   ValueError, "non-negative"),
     "anchored_slack without points": (lambda: anchored_slack(OMNI, 0, 2), ValueError, "n >= 1"),
+    "feasible of a fractional point count": (lambda: feasible(OMNI, 2.5, 3), ValueError,
+                                             r"must be integers, got n=2\.5$"),
     "predicted_rank of a float count": (lambda: predicted_rank(OMNI_3D, 2.5, 3), ValueError,
                                         "integers"),
     "predicted_rank of a bool count": (lambda: predicted_rank(OMNI_3D, 3, True), ValueError,

@@ -331,7 +331,8 @@ def test_solver_options_cap_iterations(monkeypatch):
     init = perturb_scene(truth, 0.10, seed=124)
     monkeypatch.setattr(reconstruct, "MAX_ITERATIONS", 2)
     report = solve(cls, evaluate(truth), init)
-    assert report.iterations <= 2
+    assert report.iterations == 2 and not report.converged
+    assert len(report.cost_history) == 3  # the start and both accepted steps
 
 
 def test_lm_stops_when_a_step_barely_lowers_the_cost():
