@@ -90,9 +90,19 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is or holds true or false, in one pass over it."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def _numbers(value, context: str) -> np.ndarray:
-    """A JSON number or regularly nested lists of numbers as a float array."""
+    """A JSON number or regularly nested lists of numbers as a float array.
+    JSON's true and false are not numbers, even beside numbers."""
     try:
+        if _holds_bool(value):
+            raise TypeError
         arr = np.asarray(value)
         if not np.issubdtype(arr.dtype, np.number):
             raise TypeError

@@ -403,27 +403,44 @@ def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
     by one more QR. This is the orthogonal form of the point elimination of
     bundle adjustment (Triggs et al., 2000, section 6). It assumes nothing
     about the rank of any block, and M has min(n*m*s, dim) rows.
+
+    Q_i^T B_i is formed once, in place, by ``_rotated_blocks``, and Q dies
+    there. Its first k rows and its leftover rows are copied out and it is
+    freed, so while the leftover QR runs only R, those rows and the copies
+    ``np.linalg.qr`` makes of them are alive. M is allocated after the QR.
     """
-    n, m, s, dim = scene.n, scene.m, scene.cls.s, scene.dim
+    n, m, dim = scene.n, scene.m, scene.dim
     points = scene.columns()[0]
-    pd, f, shared = scene.point_dim, scene.cls.f, points.size
-    owners = scene.owner_jacobian()
+    pd, shared = scene.point_dim, points.size
+    k = min(m * scene.cls.s, pd)
+    R, QB = _rotated_blocks(scene.owner_jacobian(), pd, scene.cls.f)
+    top, rest = QB[:, :k].copy(), QB[:, k:].reshape(-1, dim - shared)
+    del QB  # the leftover QR holds only the rows it reduces
+    rest = np.linalg.qr(rest, mode="r")
+    M = np.zeros((n * k + rest.shape[0], dim))
+    head = M[:n * k].reshape(n, k, dim)
+    head[np.arange(n)[:, None, None], np.arange(k)[:, None], points[:, None, :]] = R[:, :k]
+    head[:, :, shared:] = top
+    M[n * k:, shared:] = rest
+    return M
+
+
+def _rotated_blocks(owners: np.ndarray, pd: int, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """R_i and Q_i^T B_i of the batched QR A_i = Q_i R_i, from the owner
+    derivatives of shape (n, m, s, pd + f + h); Q_i^T B_i has shape
+    (n, m*s, m*f + h) and is written in place by both products."""
+    n, m, s, _ = owners.shape
     # contiguous copies: the QR and the products round differently on strided views
     A = np.ascontiguousarray(owners[..., :pd]).reshape(n, m * s, pd)
     B_cams = np.ascontiguousarray(owners[..., pd:pd + f])
     B_glob = np.ascontiguousarray(owners[..., pd + f:]).reshape(n, m * s, -1)
     Q, R = np.linalg.qr(A, mode="complete")
-    QB = np.concatenate([  # Q_i^T B_i, camera j's block taken from camera j's rows only
-        (Q.reshape(n, m, s, -1).swapaxes(2, 3) @ B_cams).swapaxes(1, 2).reshape(n, m * s, -1),
-        Q.swapaxes(1, 2) @ B_glob], axis=2)
-    k = min(m * s, pd)
-    rest = np.linalg.qr(QB[:, k:].reshape(-1, dim - shared), mode="r")
-    M = np.zeros((n * k + rest.shape[0], dim))
-    top = M[:n * k].reshape(n, k, dim)
-    top[np.arange(n)[:, None, None], np.arange(k)[:, None], points[:, None, :]] = R[:, :k]
-    top[:, :, shared:] = QB[:, :k]
-    M[n * k:, shared:] = rest
-    return M
+    QB = np.empty((n, m * s, m * f + B_glob.shape[2]))
+    # camera j's block is taken from camera j's rows only
+    np.matmul(Q.reshape(n, m, s, -1).swapaxes(2, 3), B_cams,
+              out=QB[..., :m * f].reshape(n, m * s, m, f).swapaxes(1, 2))
+    np.matmul(Q.swapaxes(1, 2), B_glob, out=QB[..., m * f:])
+    return R, QB
 
 
 def jacobian_rank(scene: Scene | JetScene, columns, rel_tol: float | None) -> RankReport:

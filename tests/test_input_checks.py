@@ -1,6 +1,8 @@
 """Malformed arguments are rejected with ValueError (or FormatError for
 documents) before any work is done."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,18 @@ SCENE_3D = random_scene(OMNI_3D, 3, 3, seed=4)
 OTHER = random_scene(catalog_lookup("omni-2d"), 3, 3, seed=4)
 LARGER = random_scene(OMNI, 4, 3, seed=4)
 
+
+def _with_entry(doc, path, value):
+    """A copy of a JSON document with the entry at ``path`` set to ``value``."""
+    doc = json.loads(io.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
 CASES = {
     "vector of the wrong length": (
         lambda: scene_from_vector(OMNI, 3, 3, np.zeros(5)), ValueError, "vector of length 12"),
@@ -74,6 +88,17 @@ CASES = {
         lambda: io.doc_to_measurements({**io.measurements_to_doc(evaluate(SCENE)),
                                         "data": [[[float("nan")]] * 3] * 3}),
         FormatError, "finite"),
+    "scene with a true point coordinate": (
+        lambda: io.doc_to_scene(_with_entry(io.scene_to_doc(SCENE), ("points", 0, 0), True)),
+        FormatError, "scene points must be a number"),
+    "camera with a true parameter": (
+        lambda: io.doc_to_scene(_with_entry(io.scene_to_doc(SCENE), ("cameras", 0, "params", 1),
+                                            True)),
+        FormatError, "camera params must be a number"),
+    "measurements holding a false": (
+        lambda: io.doc_to_measurements(_with_entry(io.measurements_to_doc(evaluate(SCENE)),
+                                                   ("data", 0, 0, 0), False)),
+        FormatError, "measurements data must be a number"),
     "scene document without cameras": (
         lambda: io.doc_to_scene({k: v for k, v in io.scene_to_doc(SCENE).items()
                                  if k != "cameras"}),

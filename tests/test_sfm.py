@@ -1,5 +1,7 @@
 """Measurement map, jets, finite-difference Jacobians, and rank analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -401,6 +403,26 @@ def test_point_block_factor_keeps_the_spectrum_of_the_jacobian(kind, n, m):
     if kind == "coplanar":
         blocks = J.reshape(n, -1, scene.dim)[:, :, : n * scene.point_dim]
         assert max(np.linalg.matrix_rank(b) for b in blocks) < scene.point_dim
+
+
+@pytest.mark.parametrize("name", ["perspective-3d", "omni-3d"])
+def test_point_block_factor_holds_the_camera_block_once(name):
+    """Q_i^T B_i is formed once and dies before the leftover QR, so the
+    traced peak stays within 3x the stacked leftover rows, which the QR
+    copies once more. A product, its reordered copy and their concatenation
+    held alive together peak above 4x."""
+    cls = catalog_lookup(name)
+    n, m = 40, 10
+    scene = random_scene(cls, n, m, seed=94)
+    k = min(m * cls.s, scene.point_dim)
+    leftover_bytes = n * (m * cls.s - k) * (m * cls.f + cls.h) * 8
+    tracemalloc.start()
+    try:
+        sfm.jacobian_factor(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * leftover_bytes
 
 
 def test_generic_rank_refuses_a_huge_cell_before_drawing(monkeypatch):
