@@ -99,12 +99,11 @@ def _holds_bool(value) -> bool:
 
 def _numbers(value, context: str) -> np.ndarray:
     """A JSON number or regularly nested lists of numbers as a float array.
-    JSON's true and false are not numbers, even beside numbers."""
+    JSON's true and false are not numbers, even beside numbers. The walk for
+    them runs only once numpy has read a regular array of at most 64 axes."""
     try:
-        if _holds_bool(value):
-            raise TypeError
         arr = np.asarray(value)
-        if not np.issubdtype(arr.dtype, np.number):
+        if not np.issubdtype(arr.dtype, np.number) or _holds_bool(value):
             raise TypeError
         return arr.astype(float)
     except (TypeError, ValueError):

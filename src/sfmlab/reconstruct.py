@@ -18,14 +18,14 @@ from . import geometry
 from .cameras import GROUPS, CameraClass, checked_array
 from .counting import checked_ints, jet_feasible
 from .errors import DegenerateConfigurationError, InfeasibleCountError
-# evaluate_jet and jet_generators stay bound here although unused:
+# evaluate, evaluate_jet and jet_generators stay bound here although unused:
 # perfbench/tracing.py::_layer_patches wraps this module's binding of each name.
 from .sfm import (
     JetScene,
     Measurements,
     RankReport,
     Scene,
-    evaluate,
+    evaluate,  # noqa: F401
     evaluate_jet,  # noqa: F401
     fd_jacobian,
     jacobian_rank,
@@ -100,7 +100,7 @@ def gauge_fix(template: Scene | JetScene) -> GaugeChart:
     """
     cls = template.cls
     G = generators(template)
-    points, cams = template.columns()
+    points, cams, _ = template.columns()
     forced = points[0, :cls.d].tolist()
     rotates, _ = GROUPS[cls.group]
     if rotates:
@@ -175,6 +175,27 @@ def _lm(residual, jacobian, x0: np.ndarray):
     return x, MAX_ITERATIONS, False, grad_norm, tuple(history)
 
 
+def _residual(measurements: Measurements, scene: Scene | JetScene):
+    """The wrapped residual ``scene.measure(vec) - measurements`` as a function
+    of the coordinate vector, once the scene and the measurements are found to
+    share class and grid."""
+    grid = (scene.n, scene.m, scene.cls.s)
+    if measurements.cls.name != scene.cls.name:
+        raise ValueError("measurements class does not match")
+    if measurements.data.shape != grid:
+        raise ValueError(f"measurement grid {measurements.data.shape} does not match the "
+                         f"scene's {grid}")
+    target = measurements.flat()
+    wrap = scene.output_angle_mask
+
+    def residual(vec):
+        r = scene.measure(vec) - target
+        r[wrap] = geometry.wrap_angle(r[wrap])
+        return r
+
+    return residual
+
+
 def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) -> SolveReport:
     """Invert the measurement map from a nearby initial scene, pinned by
     ``gauge_fix``; moving points are fitted at the init scene's shot times.
@@ -184,10 +205,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
     """
     if init.cls.name != cls.name:
         raise ValueError("init scene class does not match")
-    if measurements.cls.name != cls.name:
-        raise ValueError("measurements class does not match")
-    if measurements.data.shape != (init.n, init.m, cls.s):
-        raise ValueError("measurement grid does not match the init scene")
+    residual_at = _residual(measurements, init)
     rep = jet_feasible(init.point_dim, cls.f, cls.g, cls.h, cls.s, init.n, init.m)
     if not rep.feasible:
         raise InfeasibleCountError(
@@ -195,7 +213,6 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
             f"measurements plus symmetry {rep.rhs}"
         )
     gauge = gauge_fix(init)
-    target = measurements.data.ravel()
     wrap = init.output_angle_mask
     free = np.flatnonzero(~gauge.mask)
     base = init.to_vector()  # already holds the pinned values
@@ -206,15 +223,13 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
         return vec
 
     def residual(x_free):
-        r = init.measure(full(x_free)) - target
-        r[wrap] = geometry.wrap_angle(r[wrap])
-        return r
+        return residual_at(full(x_free))
 
     def jacobian(x_free):  # the residual's Jacobian is the measurement map's
         return fd_jacobian(init.measure, full(x_free), wrap, free)
 
     x, iterations, converged, grad_norm, history = _lm(residual, jacobian, base[free])
-    rmse = float(np.sqrt(history[-1] / target.size))
+    rmse = float(np.sqrt(history[-1] / measurements.data.size))
     return SolveReport(init.with_vector(full(x)), rmse, iterations, converged, grad_norm, gauge,
                        history)
 
@@ -226,16 +241,7 @@ def solve_jet(measurements: Measurements, init: JetScene) -> SolveReport:
 
 def reprojection_rmse(scene: Scene | JetScene, measurements: Measurements) -> float:
     """Root-mean-square of the wrapped residuals over all measured values."""
-    if measurements.cls.name != scene.cls.name:
-        raise ValueError("measurements class does not match")
-    pred = evaluate(scene)
-    if pred.data.shape != measurements.data.shape:
-        raise ValueError(
-            f"shape mismatch: scene yields {pred.data.shape}, measurements {measurements.data.shape}"
-        )
-    r = pred.flat() - measurements.flat()
-    wrap = scene.output_angle_mask
-    r[wrap] = geometry.wrap_angle(r[wrap])
+    r = _residual(measurements, scene)(scene.to_vector())
     return float(np.sqrt(np.mean(r * r)))
 
 

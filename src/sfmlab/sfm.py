@@ -30,8 +30,9 @@ MAX_ENTRIES = 2**27  # samplers refuse a larger m*n*d position grid, generic_ran
 
 
 def _split_vector(cls: CameraClass, block_shape: tuple, m: int, vec) -> tuple:
-    """Point coefficient block, camera parameters and globals of a coordinate vector."""
-    vec = np.asarray(vec, dtype=float).reshape(-1)
+    """Point coefficient block, camera parameters and globals of a coordinate
+    vector, as views of it: the one statement of where a coordinate sits."""
+    vec = np.asarray(vec).reshape(-1)
     block = math.prod(block_shape)
     cams_end = block + cls.f * m
     if vec.size != cams_end + cls.h:
@@ -48,9 +49,9 @@ class _SceneLayout:
     only rotate and scale. ``shot_positions()`` gives the positions every
     camera photographs, shape (m, n, d). The cameras are the rows of the
     (m, f) array ``params``. The coordinate vector is all coefficients, then
-    each camera's parameters, then the scene-level parameters;
-    ``with_vector`` rebuilds the scene from it, and ``measure`` maps it to
-    the flattened measurements.
+    each camera's parameters, then the scene-level parameters. ``columns``
+    gives each owner's indices in it, ``with_vector`` rebuilds the scene from
+    it, and ``measure`` maps it to the flattened measurements.
     """
 
     def _check_cameras(self) -> None:
@@ -59,6 +60,14 @@ class _SceneLayout:
         object.__setattr__(self, "params", checked_array(f"{cls.name} camera parameters",
                                                          self.params, (None, cls.f)))
         object.__setattr__(self, "globals_vec", checked_globals(cls, self.globals_vec))
+
+    @property
+    def n(self) -> int:
+        return self.coefficients.shape[0]
+
+    @property
+    def point_dim(self) -> int:
+        return self.coefficients[0].size
 
     @property
     def m(self) -> int:
@@ -101,12 +110,11 @@ class _SceneLayout:
         return np.concatenate([self.coefficients.reshape(-1), self.params.reshape(-1),
                                self.globals_vec])
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate indices by owner: ``points`` of shape (n, point_dim) and
-        ``cams`` of shape (m, f); the h shared parameters come last."""
-        points = np.arange(self.n * self.point_dim).reshape(self.n, self.point_dim)
-        cams = points.size + np.arange(self.m * self.cls.f).reshape(self.m, self.cls.f)
-        return points, cams
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinate indices by owner: ``points`` of shape (n, point_dim),
+        ``cams`` of shape (m, f) and the h ``shared`` ones, split from the
+        index vector as ``with_vector`` splits a coordinate vector."""
+        return _split_vector(self.cls, (self.n, self.point_dim), self.m, np.arange(self.dim))
 
     def owner_jacobian(self) -> np.ndarray:
         """The measurement Jacobian by owner, shape (n, m, s, point_dim + f + h).
@@ -118,8 +126,8 @@ class _SceneLayout:
         coefficient c of every point, one steps parameter k of every camera,
         and each shared parameter has its own (Curtis, Powell & Reid 1974).
         """
-        points, cams = self.columns()
-        groups = [*points.T, *cams.T, *range(points.size + cams.size, self.dim)]
+        points, cams, shared = self.columns()
+        groups = [*points.T, *cams.T, *shared]
         J = fd_jacobian(self.measure, self.to_vector(), self.output_angle_mask, groups)
         return J.reshape(self.n, self.m, self.cls.s, -1)
 
@@ -151,14 +159,6 @@ class Scene(_SceneLayout):
     def __post_init__(self):
         object.__setattr__(self, "points", checked_array("points", self.points, (None, self.cls.d)))
         self._check_cameras()
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def point_dim(self) -> int:
-        return self.cls.d
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -238,16 +238,8 @@ class JetScene(_SceneLayout):
         object.__setattr__(self, "times", times)
 
     @property
-    def n(self) -> int:
-        return self.motion.shape[0]
-
-    @property
-    def point_dim(self) -> int:
-        return self.motion[0].size
-
-    @property
     def coefficients(self) -> np.ndarray:
-        return self.motion.reshape(self.n, -1, self.cls.d)
+        return self.motion.reshape(len(self.motion), -1, self.cls.d)
 
     @cached_property
     def _basis(self) -> np.ndarray:
@@ -334,8 +326,7 @@ def jacobian(scene: Scene | JetScene) -> np.ndarray:
     The result equals the one-column-per-coordinate loop bit for bit.
     """
     n, m, dim = scene.n, scene.m, scene.dim
-    points, cams = scene.columns()
-    shared = np.arange(points.size + cams.size, dim)
+    points, cams, shared = scene.columns()
     owners = np.concatenate([np.broadcast_to(points[:, None], (n, m, scene.point_dim)),
                              np.broadcast_to(cams, (n, m, scene.cls.f)),
                              np.broadcast_to(shared, (n, m, scene.cls.h))], axis=2)
@@ -409,19 +400,19 @@ def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
     freed, so while the leftover QR runs only R, those rows and the copies
     ``np.linalg.qr`` makes of them are alive. M is allocated after the QR.
     """
-    n, m, dim = scene.n, scene.m, scene.dim
-    points = scene.columns()[0]
-    pd, shared = scene.point_dim, points.size
+    n, m, dim, pd = scene.n, scene.m, scene.dim, scene.point_dim
+    points, cams, shared = scene.columns()
+    others = np.concatenate([cams.ravel(), shared])  # B_i's columns, in the order of Q_i^T B_i
     k = min(m * scene.cls.s, pd)
     R, QB = _rotated_blocks(scene.owner_jacobian(), pd, scene.cls.f)
-    top, rest = QB[:, :k].copy(), QB[:, k:].reshape(-1, dim - shared)
+    top, rest = QB[:, :k].copy(), QB[:, k:].reshape(-1, others.size)
     del QB  # the leftover QR holds only the rows it reduces
     rest = np.linalg.qr(rest, mode="r")
     M = np.zeros((n * k + rest.shape[0], dim))
     head = M[:n * k].reshape(n, k, dim)
     head[np.arange(n)[:, None, None], np.arange(k)[:, None], points[:, None, :]] = R[:, :k]
-    head[:, :, shared:] = top
-    M[n * k:, shared:] = rest
+    head[:, :, others] = top
+    M[n * k:, others] = rest
     return M
 
 

@@ -76,9 +76,11 @@ def act_scene(gamma: GroupElement, scene: Scene | JetScene) -> Scene | JetScene:
     coefficients = scene.coefficients
     moved = coefficients @ (gamma.scale * gamma.rotation).T
     moved[:, 0, :] = act_point(gamma, coefficients[:, 0, :])
-    params = [cls.act(p, gamma.scale, gamma.rotation, gamma.translation) for p in scene.params]
-    return scene.with_vector(np.concatenate([moved.reshape(-1), np.ravel(params),
-                                             scene.globals_vec]))
+    vec = scene.to_vector()
+    points, cams, _ = scene.columns()
+    vec[points] = moved.reshape(points.shape)
+    vec[cams] = [cls.act(p, gamma.scale, gamma.rotation, gamma.translation) for p in scene.params]
+    return scene.with_vector(vec)
 
 
 def random_element(group: str, d: int, seed) -> GroupElement:

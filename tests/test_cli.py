@@ -230,7 +230,8 @@ def test_module_invocation_smoke():
 @pytest.mark.parametrize("case", ["camera entry not an object", "measurements without m",
                                   "non-finite point", "measurements n a list",
                                   "camera params an object", "scene globals an object",
-                                  "measurements of another class", "deeply nested JSON"])
+                                  "measurements of another class", "deeply nested JSON",
+                                  "points nested 500 deep"])
 def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
     scene = random_scene(catalog_lookup("omni-oriented-2d"), 3, 3, seed=4)
     scene_doc = io.scene_to_doc(scene)
@@ -249,6 +250,8 @@ def test_reconstruct_malformed_input_exits_2_without_traceback(tmp_path, case):
         meas_doc["class"] = "affine-ortho-2d"  # same s, so the grid shape matches
     elif case == "scene globals an object":
         scene_doc["globals"] = {"a": 1}
+    elif case == "points nested 500 deep":  # deeper than numpy's 64 dimensions
+        scene_doc["points"] = json.loads("[" * 500 + "]" * 500)
     sp, mp = tmp_path / "s.json", tmp_path / "m.json"
     sp.write_text(json.dumps(scene_doc))
     mp.write_text(json.dumps(meas_doc))

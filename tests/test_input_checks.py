@@ -99,6 +99,9 @@ CASES = {
         lambda: io.doc_to_measurements(_with_entry(io.measurements_to_doc(evaluate(SCENE)),
                                                    ("data", 0, 0, 0), False)),
         FormatError, "measurements data must be a number"),
+    "scene points nested 500 deep": (
+        lambda: io.doc_to_scene({**io.scene_to_doc(SCENE), "points": json.loads("[" * 500 + "]" * 500)}),
+        FormatError, "scene points must be a number"),
     "scene document without cameras": (
         lambda: io.doc_to_scene({k: v for k, v in io.scene_to_doc(SCENE).items()
                                  if k != "cameras"}),

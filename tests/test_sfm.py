@@ -492,10 +492,10 @@ def _layout_scene(kind):
 def test_scene_layout_columns_and_angle_masks(kind):
     scene = _layout_scene(kind)
     cls = scene.cls
-    points, cams = scene.columns()
+    points, cams, shared = scene.columns()
     assert points.shape == (scene.n, scene.point_dim) and cams.shape == (scene.m, cls.f)
-    assert np.array_equal(np.concatenate([points.ravel(), cams.ravel()]),
-                          np.arange(scene.dim - cls.h))
+    assert np.array_equal(np.concatenate([points.ravel(), cams.ravel(), shared]),
+                          np.arange(scene.dim))
     vec = scene.to_vector()
     for i in range(scene.n):
         assert np.array_equal(vec[points[i]], scene.coefficients[i].ravel())
