@@ -2,12 +2,14 @@
 
 Commands: ``catalog``, ``region``, ``rank``, ``reconstruct``, ``simulate``.
 Exit codes: 0 on success (and met predictions), 1 for findings such as a rank
-deficit or a non-converged solve, 2 for usage, validation, or I/O errors.
+deficit or a non-converged solve, 2 for usage, validation, or I/O errors, and
+141 (128 + SIGPIPE) when the reader of standard output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from .symmetry import align
 
 JET_PRESET = "circle-jet"
 JET_PRESET_CLASS = "omni-2d"
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a pipe writer it killed
 
 
 def _cmd_catalog(args) -> int:
@@ -161,7 +164,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and let the exit flush write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (FormatError, SfmlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

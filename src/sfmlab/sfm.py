@@ -27,6 +27,7 @@ FD_STEP = 1e-6  # central-difference step of every finite-difference Jacobian
 MAX_DRAWS = 100  # scenes a sampler draws before it gives up
 JET_OMEGA = 0.7  # angular velocity of every sampled circle jet
 MAX_ENTRIES = 2**27  # samplers refuse a larger m*n*d position grid, generic_rank a larger J
+PANEL = 16  # columns per panel of _reduce_rows' blocked QR
 
 
 def _split_vector(cls: CameraClass, block_shape: tuple, m: int, vec) -> tuple:
@@ -395,19 +396,18 @@ def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
     bundle adjustment (Triggs et al., 2000, section 6). It assumes nothing
     about the rank of any block, and M has min(n*m*s, dim) rows.
 
-    Q_i^T B_i is formed once, in place, by ``_rotated_blocks``, and Q dies
-    there. Its first k rows and its leftover rows are copied out and it is
-    freed, so while the leftover QR runs only R, those rows and the copies
-    ``np.linalg.qr`` makes of them are alive. M is allocated after the QR.
+    ``_rotated_blocks`` writes the first k rows of each Q_i^T B_i and the
+    stacked leftover rows straight into two arrays, and ``_reduce_rows``
+    overwrites the leftover one with its R factor. So while that QR runs,
+    only R, the first rows, the leftover rows and one panel's temporaries
+    are alive. M is allocated after it.
     """
     n, m, dim, pd = scene.n, scene.m, scene.dim, scene.point_dim
     points, cams, shared = scene.columns()
     others = np.concatenate([cams.ravel(), shared])  # B_i's columns, in the order of Q_i^T B_i
     k = min(m * scene.cls.s, pd)
-    R, QB = _rotated_blocks(scene.owner_jacobian(), pd, scene.cls.f)
-    top, rest = QB[:, :k].copy(), QB[:, k:].reshape(-1, others.size)
-    del QB  # the leftover QR holds only the rows it reduces
-    rest = np.linalg.qr(rest, mode="r")
+    R, top, rest = _rotated_blocks(scene.owner_jacobian(), pd, scene.cls.f, k)
+    rest = _reduce_rows(rest)
     M = np.zeros((n * k + rest.shape[0], dim))
     head = M[:n * k].reshape(n, k, dim)
     head[np.arange(n)[:, None, None], np.arange(k)[:, None], points[:, None, :]] = R[:, :k]
@@ -416,22 +416,61 @@ def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
     return M
 
 
-def _rotated_blocks(owners: np.ndarray, pd: int, f: int) -> tuple[np.ndarray, np.ndarray]:
-    """R_i and Q_i^T B_i of the batched QR A_i = Q_i R_i, from the owner
-    derivatives of shape (n, m, s, pd + f + h); Q_i^T B_i has shape
-    (n, m*s, m*f + h) and is written in place by both products."""
+def _rotated_blocks(owners: np.ndarray, pd: int, f: int,
+                    k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R_i of the batched QR A_i = Q_i R_i, and Q_i^T B_i split at row k, from
+    the owner derivatives of shape (n, m, s, pd + f + h).
+
+    The first k rows of each Q_i^T B_i come back with shape (n, k, m*f + h),
+    and the leftover rows stacked, as one contiguous array of shape
+    (n*(m*s - k), m*f + h). Both products write into them.
+    """
     n, m, s, _ = owners.shape
     # contiguous copies: the QR and the products round differently on strided views
     A = np.ascontiguousarray(owners[..., :pd]).reshape(n, m * s, pd)
     B_cams = np.ascontiguousarray(owners[..., pd:pd + f])
     B_glob = np.ascontiguousarray(owners[..., pd + f:]).reshape(n, m * s, -1)
     Q, R = np.linalg.qr(A, mode="complete")
-    QB = np.empty((n, m * s, m * f + B_glob.shape[2]))
-    # camera j's block is taken from camera j's rows only
-    np.matmul(Q.reshape(n, m, s, -1).swapaxes(2, 3), B_cams,
-              out=QB[..., :m * f].reshape(n, m * s, m, f).swapaxes(1, 2))
-    np.matmul(Q.swapaxes(1, 2), B_glob, out=QB[..., m * f:])
-    return R, QB
+    Qt_cams = Q.reshape(n, m, s, -1).swapaxes(2, 3)  # camera j's block is taken from its rows only
+    Qt = Q.swapaxes(1, 2)
+    width = m * f + B_glob.shape[2]
+    top = np.empty((n, k, width))
+    rest = np.empty((n * (m * s - k), width))
+    for rows, out in ((slice(None, k), top), (slice(k, None), rest.reshape(n, -1, width))):
+        np.matmul(Qt_cams[:, :, rows], B_cams,
+                  out=out[..., :m * f].reshape(n, -1, m, f).swapaxes(1, 2))
+        np.matmul(Qt[:, rows], B_glob, out=out[..., m * f:])
+    return R, top, rest
+
+
+def _reduce_rows(a: np.ndarray) -> np.ndarray:
+    """Overwrite the C-ordered (N, c) array ``a`` with the R factor of its QR
+    and return it, ``a[:min(N, c)]``, zero below the diagonal.
+
+    Blocked Householder QR, ``PANEL`` columns at a time: each panel is
+    factored by ``np.linalg.qr(mode="raw")``, its reflectors are accumulated
+    in compact WY form Q = I - V T V^T (Schreiber & Van Loan, 1989), with V
+    built in the raw panel's own array, and the trailing columns are updated
+    in place one panel-wide tile at a time. So no copy of ``a`` is made.
+    """
+    N, c = a.shape
+    r = min(N, c)
+    for j0 in range(0, r, PANEL):
+        j1 = min(j0 + PANEL, c)
+        h, tau = np.linalg.qr(a[j0:, j0:j1], mode="raw")
+        p = tau.size
+        a[j0:j0 + p, j0:j1] = np.triu(h.T[:p])  # the panel's R
+        a[j0 + p:r, j0:j1] = 0.0
+        V = h.T[:, :p]  # the reflectors, below the diagonal
+        V[:p] = np.tril(V[:p], -1) + np.eye(p)
+        VtV = V.T @ V
+        T = np.diag(tau)
+        for i in range(1, p):
+            T[:i, i] = -tau[i] * (T[:i, :i] @ VtV[:i, i])
+        for t0 in range(j1, c, PANEL):
+            tile = a[j0:, t0:t0 + PANEL]
+            tile -= V @ (T.T @ (V.T @ tile))
+    return a[:r]
 
 
 def jacobian_rank(scene: Scene | JetScene, columns, rel_tol: float | None) -> RankReport:

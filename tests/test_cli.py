@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -225,6 +226,21 @@ def test_module_invocation_smoke():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "name,d,s,f,g,h,group"
     assert len(proc.stdout.strip().splitlines()) == 14
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that has closed the pipe ends the command with exit code 141
+    and nothing on stderr: not an input error, and no exit-time traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sfmlab", "rank", "omni-3d", "4", "3", "--trials", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("case", ["camera entry not an object", "measurements without m",

@@ -407,10 +407,11 @@ def test_point_block_factor_keeps_the_spectrum_of_the_jacobian(kind, n, m):
 
 @pytest.mark.parametrize("name", ["perspective-3d", "omni-3d"])
 def test_point_block_factor_holds_the_camera_block_once(name):
-    """Q_i^T B_i is formed once and dies before the leftover QR, so the
-    traced peak stays within 3x the stacked leftover rows, which the QR
-    copies once more. A product, its reordered copy and their concatenation
-    held alive together peak above 4x."""
+    """The leftover rows of each Q_i^T B_i are written once, straight into
+    their stacked array, and reduced in place, so the traced peak stays
+    within 2.3x that array (2.2x measured): no full Q_i^T B_i and no copy of
+    the leftover rows is ever made. Reducing them with ``np.linalg.qr``,
+    which copies its input, peaks at 2.43x here."""
     cls = catalog_lookup(name)
     n, m = 40, 10
     scene = random_scene(cls, n, m, seed=94)
@@ -422,7 +423,51 @@ def test_point_block_factor_holds_the_camera_block_once(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * leftover_bytes
+    assert peak <= 2.3 * leftover_bytes
+
+
+def _reduce_rows_inputs():
+    rng = np.random.default_rng(95)
+    deficient = rng.normal(size=(500, 40))
+    deficient[:, 7] = 0.0  # a zero column: that reflector has tau = 0
+    deficient[:, 39] = deficient[:, 3] + 2.0 * deficient[:, 5]
+    zero_block = rng.normal(size=(60, 37))
+    zero_block[:, :sfm.PANEL + 3] = 0.0  # a whole panel of zero columns, and more
+    return {
+        "tall": rng.normal(size=(300, 37)),
+        "wide": rng.normal(size=(5, 37)),
+        "wide over two panels": rng.normal(size=(20, 41)),
+        "no rows": np.zeros((0, 37)),
+        "square": rng.normal(size=(37, 37)),
+        "one column": rng.normal(size=(33, 1)),
+        "dependent and zero columns": deficient,
+        "low rank": rng.normal(size=(200, 25)) @ rng.normal(size=(25, 45)),
+        "zero columns": zero_block,
+    }
+
+
+@pytest.mark.parametrize("case", list(_reduce_rows_inputs()))
+def test_reduce_rows_matches_the_lapack_qr(case):
+    """``_reduce_rows`` returns R of ``np.linalg.qr(a, mode="r")``, up to the
+    sign of each row, in ``a``'s own memory, zero below the diagonal."""
+    a = _reduce_rows_inputs()[case]
+    expected = np.linalg.qr(a, mode="r")
+    work = a.copy()
+    got = sfm._reduce_rows(work)
+    assert got.shape == expected.shape
+    assert got.size == 0 or np.shares_memory(got, work)
+    assert not np.tril(got, -1).any()
+    assert np.abs(np.abs(got) - np.abs(expected)).max(initial=0.0) <= 1e-13 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("name,n,m,rank", [("perspective-3d", 120, 24, 498),
+                                           ("affine-ortho-3d", 120, 24, 474),
+                                           ("omni-3d", 80, 16, 329)])
+def test_generic_rank_of_the_large_benchmark_cells(name, n, m, rank):
+    """The cells the rank benchmark checks, at its first seed, with the gap it
+    requires, so a change to the factor's numerics fails here first."""
+    rep = generic_rank(catalog_lookup(name), n, m, trials=1, seed=0)
+    assert rep.rank == rank and rep.best.gap >= 1e3
 
 
 def test_generic_rank_refuses_a_huge_cell_before_drawing(monkeypatch):
