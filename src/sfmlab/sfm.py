@@ -28,6 +28,7 @@ MAX_DRAWS = 100  # scenes a sampler draws before it gives up
 JET_OMEGA = 0.7  # angular velocity of every sampled circle jet
 MAX_ENTRIES = 2**27  # samplers refuse a larger m*n*d position grid, generic_rank a larger J
 PANEL = 16  # columns per panel of _reduce_rows' blocked QR
+CHUNK_ROWS = 2048  # leftover rows jacobian_factor writes and reduces per chunk of points
 
 
 def _split_vector(cls: CameraClass, block_shape: tuple, m: int, vec) -> tuple:
@@ -396,51 +397,69 @@ def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
     bundle adjustment (Triggs et al., 2000, section 6). It assumes nothing
     about the rank of any block, and M has min(n*m*s, dim) rows.
 
-    ``_rotated_blocks`` writes the first k rows of each Q_i^T B_i and the
-    stacked leftover rows straight into two arrays, and ``_reduce_rows``
-    overwrites the leftover one with its R factor. So while that QR runs,
-    only R, the first rows, the leftover rows and one panel's temporaries
-    are alive. M is allocated after it.
+    The leftover rows are reduced chunk by chunk, as in sequential TSQR
+    (Demmel, Grigori, Hoemmen & Langou, 2012). Each chunk of points, as many
+    as fit in ``CHUNK_ROWS`` leftover rows (at least one), has
+    ``_rotated_blocks`` write its leftover rows into one work array, just
+    below the R reduced so far, and ``_reduce_rows`` reduces that prefix in
+    place. So the work array holds at most c = m*f + h rows more than one
+    chunk's, however many points there are, and when all leftover rows fit
+    in one chunk it is exactly their stack. The owner derivatives die with
+    the last chunk, and the final R, at most c rows, is copied out of the
+    work array, which is freed before M is allocated.
     """
     n, m, dim, pd = scene.n, scene.m, scene.dim, scene.point_dim
     points, cams, shared = scene.columns()
     others = np.concatenate([cams.ravel(), shared])  # B_i's columns, in the order of Q_i^T B_i
     k = min(m * scene.cls.s, pd)
-    R, top, rest = _rotated_blocks(scene.owner_jacobian(), pd, scene.cls.f, k)
-    rest = _reduce_rows(rest)
-    M = np.zeros((n * k + rest.shape[0], dim))
+    left = m * scene.cls.s - k  # leftover rows per point
+    c = others.size
+    per = max(1, CHUNK_ROWS // max(left, 1))  # points per chunk
+    owners = scene.owner_jacobian()
+    chunks = [owners[i0:i0 + per] for i0 in range(0, n, per)]
+    del owners  # it dies with its last chunk, before that chunk's reduction
+    R = np.empty((n, k, pd))
+    top = np.empty((n, k, c))
+    work = np.empty((min(n * left, c + per * left), c))
+    done = 0  # rows of the R reduced so far, at the top of work
+    for i0 in range(0, n, per):
+        rows = done + len(chunks[0]) * left
+        _rotated_blocks(chunks.pop(0), scene.cls.f, R[i0:i0 + per], top[i0:i0 + per],
+                        work[done:rows])
+        done = _reduce_rows(work[:rows]).shape[0]
+    rest = work[:done].copy()
+    del work
+    M = np.zeros((n * k + done, dim))
     head = M[:n * k].reshape(n, k, dim)
-    head[np.arange(n)[:, None, None], np.arange(k)[:, None], points[:, None, :]] = R[:, :k]
+    head[np.arange(n)[:, None, None], np.arange(k)[:, None], points[:, None, :]] = R
     head[:, :, others] = top
     M[n * k:, others] = rest
     return M
 
 
-def _rotated_blocks(owners: np.ndarray, pd: int, f: int,
-                    k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R_i of the batched QR A_i = Q_i R_i, and Q_i^T B_i split at row k, from
-    the owner derivatives of shape (n, m, s, pd + f + h).
-
-    The first k rows of each Q_i^T B_i come back with shape (n, k, m*f + h),
-    and the leftover rows stacked, as one contiguous array of shape
-    (n*(m*s - k), m*f + h). Both products write into them.
+def _rotated_blocks(owners: np.ndarray, f: int, R: np.ndarray, top: np.ndarray,
+                    rest: np.ndarray) -> None:
+    """From the owner derivatives of shape (n, m, s, pd + f + h), write R_i[:k]
+    of the batched QR A_i = Q_i R_i into ``R``, of shape (n, k, pd), and
+    Q_i^T B_i split at row k: its first k rows into ``top``, of shape
+    (n, k, m*f + h), and its leftover rows, stacked, into the C-ordered
+    ``rest``, of shape (n*(m*s - k), m*f + h). Both products write into them.
     """
     n, m, s, _ = owners.shape
+    _, k, pd = R.shape
     # contiguous copies: the QR and the products round differently on strided views
     A = np.ascontiguousarray(owners[..., :pd]).reshape(n, m * s, pd)
     B_cams = np.ascontiguousarray(owners[..., pd:pd + f])
     B_glob = np.ascontiguousarray(owners[..., pd + f:]).reshape(n, m * s, -1)
-    Q, R = np.linalg.qr(A, mode="complete")
+    Q, R_full = np.linalg.qr(A, mode="complete")
+    R[:] = R_full[:, :k]
     Qt_cams = Q.reshape(n, m, s, -1).swapaxes(2, 3)  # camera j's block is taken from its rows only
     Qt = Q.swapaxes(1, 2)
-    width = m * f + B_glob.shape[2]
-    top = np.empty((n, k, width))
-    rest = np.empty((n * (m * s - k), width))
+    width = top.shape[2]
     for rows, out in ((slice(None, k), top), (slice(k, None), rest.reshape(n, -1, width))):
         np.matmul(Qt_cams[:, :, rows], B_cams,
                   out=out[..., :m * f].reshape(n, -1, m, f).swapaxes(1, 2))
         np.matmul(Qt[:, rows], B_glob, out=out[..., m * f:])
-    return R, top, rest
 
 
 def _reduce_rows(a: np.ndarray) -> np.ndarray:
