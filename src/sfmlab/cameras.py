@@ -64,7 +64,6 @@ class CameraClass:
     h: int
     group: str
     chart_doc: str
-    kind: ClassVar[str]
     # Subclasses override these with the indices their parameter vector has.
     rotation_slice: ClassVar[slice | None] = None  # orientation block
     position_slice: ClassVar[slice | None] = None  # camera position
@@ -129,8 +128,6 @@ class AffineClass(CameraClass):
     the camera frame, keep the first ``s`` coordinates, add an in-retina
     chart offset. Parameters: orientation block, retina offset."""
 
-    kind: ClassVar[str] = "affine"
-
     @property
     def rotation_slice(self) -> slice:
         return slice(0, self.rot_dim)
@@ -161,8 +158,6 @@ class OmniClass(CameraClass):
     outgoing ray; non-oriented variants carry their own rotation, oriented
     ones read directions in the world frame.
     """
-
-    kind: ClassVar[str] = "omni"
 
     @property
     def oriented(self) -> bool:
@@ -249,7 +244,6 @@ class PerspectiveClass(CameraClass):
     """
 
     known_focal: ClassVar[float] = 1.0
-    kind: ClassVar[str] = "perspective"
 
     @property
     def focal_mode(self) -> str:
@@ -335,7 +329,6 @@ class LineClass(CameraClass):
     perpendicular to its direction never enters the readout and is excluded
     from the parameter chart."""
 
-    kind: ClassVar[str] = "line"
     rotation_slice: ClassVar[slice] = slice(0, 2)  # the direction chart
     angular_param_indices: ClassVar[tuple[int, ...]] = (0,)  # azimuth of the direction
 

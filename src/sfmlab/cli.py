@@ -24,25 +24,17 @@ from .symmetry import align
 JET_PRESET = "circle-jet"
 JET_PRESET_CLASS = "omni-2d"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a pipe writer it killed
+COLUMNS = ("name", "d", "s", "f", "g", "h", "group")  # catalog fields, in table and CSV order
 
 
 def _cmd_catalog(args) -> int:
-    rows = [
-        {"name": c.name, "d": c.d, "s": c.s, "f": c.f, "g": c.g, "h": c.h, "group": c.group,
-         "chart": c.chart_doc}
-        for c in catalog()
-    ]
+    rows = [{**{k: getattr(c, k) for k in COLUMNS}, "chart": c.chart_doc} for c in catalog()]
     if args.format == "json":
         print(io.dumps(rows))
-    elif args.format == "csv":
-        print("name,d,s,f,g,h,group")
-        for r in rows:
-            print(",".join(str(r[k]) for k in ("name", "d", "s", "f", "g", "h", "group")))
-    else:
-        width = max(len(r["name"]) for r in rows)
-        print(f"{'name':{width}}  d  s  f  g  h  group")
-        for r in rows:
-            print(f"{r['name']:{width}}  {r['d']}  {r['s']}  {r['f']}  {r['g']}  {r['h']}  {r['group']}")
+        return 0
+    sep, width = (",", 0) if args.format == "csv" else ("  ", max(len(r["name"]) for r in rows))
+    for name, *rest in [COLUMNS, *([r[k] for k in COLUMNS] for r in rows)]:
+        print(sep.join([name.ljust(width), *map(str, rest)]))
     return 0
 
 

@@ -179,6 +179,12 @@ def region_csv(grid: list[list[FeasibilityReport]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _svg_text(x, y, size: int, attrs: str, label) -> str:
+    """One ``<text>`` element; ``attrs`` is "" or attributes with a leading space."""
+    return (f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{attrs}>'
+            f'{label}</text>')
+
+
 def region_svg(grid: list[list[FeasibilityReport]], title: str) -> str:
     """Fixed 40px cell grid: infeasible cells shaded, borderline outlined,
     n (points) rightward and m (cameras) upward."""
@@ -187,10 +193,11 @@ def region_svg(grid: list[list[FeasibilityReport]], title: str) -> str:
     left, bottom, top = 60, 50, 30
     width = left + n_max * cell + 20
     height = top + m_max * cell + bottom
+    middle, m_axis = ' text-anchor="middle"', top + m_max * cell // 2
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<text x="{left}" y="20" font-family="sans-serif" font-size="14">{title}</text>',
+        _svg_text(left, 20, 14, "", title),
     ]
     for i, row in enumerate(grid):
         for rep in row:
@@ -201,25 +208,12 @@ def region_svg(grid: list[list[FeasibilityReport]], title: str) -> str:
                 f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                 f'fill="{fill}" stroke="#888888"/>'
             )
-    for i in range(n_max):
-        x = left + i * cell + cell // 2
-        parts.append(
-            f'<text x="{x}" y="{top + m_max * cell + 16}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{i + 1}</text>'
-        )
-    for j in range(m_max):
-        y = top + (m_max - 1 - j) * cell + cell // 2 + 4
-        parts.append(
-            f'<text x="{left - 8}" y="{y}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{j + 1}</text>'
-        )
-    parts.append(
-        f'<text x="{left + n_max * cell // 2}" y="{height - 8}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle">n (points)</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{top + m_max * cell // 2}" font-family="sans-serif" font-size="12" '
-        f'text-anchor="middle" transform="rotate(-90 14 {top + m_max * cell // 2})">m (cameras)</text>'
-    )
+    parts += [_svg_text(left + i * cell + cell // 2, top + m_max * cell + 16, 11, middle, i + 1)
+              for i in range(n_max)]
+    parts += [_svg_text(left - 8, top + (m_max - 1 - j) * cell + cell // 2 + 4, 11,
+                        ' text-anchor="end"', j + 1) for j in range(m_max)]
+    parts.append(_svg_text(left + n_max * cell // 2, height - 8, 12, middle, "n (points)"))
+    parts.append(_svg_text(14, m_axis, 12, f'{middle} transform="rotate(-90 14 {m_axis})"',
+                           "m (cameras)"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -25,6 +25,7 @@ from .sfm import (
     Measurements,
     RankReport,
     Scene,
+    check_jacobian,
     evaluate,  # noqa: F401
     evaluate_jet,  # noqa: F401
     fd_jacobian,
@@ -201,7 +202,8 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
     ``gauge_fix``; moving points are fitted at the init scene's shot times.
 
     Raises InfeasibleCountError when the dimension inequality already rules
-    out a locally unique inverse for these counts.
+    out a locally unique inverse for these counts, and ValueError when LM's
+    Jacobian would exceed ``sfm.MAX_ENTRIES`` entries.
     """
     if init.cls.name != cls.name:
         raise ValueError("init scene class does not match")
@@ -212,6 +214,8 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
             f"{cls.name} with n={init.n}, m={init.m}: unknowns {rep.lhs} exceed "
             f"measurements plus symmetry {rep.rhs}"
         )
+    # LM's Jacobian: one row per measured value, one column per free coordinate
+    check_jacobian(cls, init.n, init.m, rep.rhs - cls.g, rep.lhs - cls.g)
     gauge = gauge_fix(init)
     wrap = init.output_angle_mask
     free = np.flatnonzero(~gauge.mask)

@@ -26,7 +26,7 @@ from .errors import DegenerateConfigurationError
 FD_STEP = 1e-6  # central-difference step of every finite-difference Jacobian
 MAX_DRAWS = 100  # scenes a sampler draws before it gives up
 JET_OMEGA = 0.7  # angular velocity of every sampled circle jet
-MAX_ENTRIES = 2**27  # samplers refuse a larger m*n*d position grid, generic_rank a larger J
+MAX_ENTRIES = 2**27  # samplers refuse a larger m*n*d position grid, check_jacobian a larger J
 PANEL = 16  # columns per panel of _reduce_rows' blocked QR
 CHUNK_ROWS = 2048  # leftover rows jacobian_factor writes and reduces per chunk of points
 
@@ -319,6 +319,14 @@ def fd_jacobian(fn, x: np.ndarray, wrap: np.ndarray, groups) -> np.ndarray:
     return J
 
 
+def check_jacobian(cls: CameraClass, n: int, m: int, rows: int, cols: int) -> None:
+    """Refuse, with ValueError, a rows x cols Jacobian of more than
+    ``MAX_ENTRIES`` entries (read at call time) before it is allocated."""
+    if rows * cols > MAX_ENTRIES:
+        raise ValueError(f"{cls.name} ({n},{m}): a {rows} x {cols} Jacobian exceeds "
+                         f"{MAX_ENTRIES} entries")
+
+
 def jacobian(scene: Scene | JetScene) -> np.ndarray:
     """Central finite-difference Jacobian of the flattened measurement map.
 
@@ -328,6 +336,7 @@ def jacobian(scene: Scene | JetScene) -> np.ndarray:
     The result equals the one-column-per-coordinate loop bit for bit.
     """
     n, m, dim = scene.n, scene.m, scene.dim
+    check_jacobian(scene.cls, n, m, n * m * scene.cls.s, dim)
     points, cams, shared = scene.columns()
     owners = np.concatenate([np.broadcast_to(points[:, None], (n, m, scene.point_dim)),
                              np.broadcast_to(cams, (n, m, scene.cls.f)),
@@ -591,10 +600,7 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     ``MAX_ENTRIES`` entries are refused before any scene is drawn.
     """
     n, m, trials = checked_counts(n=n, m=m, trials=trials)
-    rows, cols = cls.s * n * m, cls.d * n + cls.f * m + cls.h
-    if rows * cols > MAX_ENTRIES:
-        raise ValueError(f"{cls.name} ({n},{m}): a {rows} x {cols} Jacobian exceeds "
-                         f"{MAX_ENTRIES} entries")
+    check_jacobian(cls, n, m, cls.s * n * m, cls.d * n + cls.f * m + cls.h)
     reports = [
         jacobian_rank(random_scene(cls, n, m, seed=(seed, t)), slice(None), rel_tol)
         for t in range(trials)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfmlab.cameras import catalog
+from sfmlab.cameras import LineClass, OmniClass, catalog
 
 # `python -m sfmlab` subprocesses import the same checkout as the tests
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -23,11 +23,11 @@ def class_names():
 
 def sample_chart_point(cls, rng):
     """Random retinal chart coordinates inside the class's chart range."""
-    if cls.kind == "omni":
+    if isinstance(cls, OmniClass):
         theta = rng.uniform(-np.pi * 0.98, np.pi * 0.98)
         if cls.d == 2:
             return np.array([theta])
         return np.array([theta, rng.uniform(0.1, np.pi - 0.1)])
-    if cls.kind == "line":
+    if isinstance(cls, LineClass):
         return rng.uniform(-3.0, 3.0, size=1)
     return rng.uniform(-3.0, 3.0, size=cls.s)

@@ -7,6 +7,7 @@ from sfmlab import geometry
 from sfmlab.cameras import (
     SPREAD,
     Camera,
+    LineClass,
     camera_map,
     catalog,
     catalog_lookup,
@@ -208,7 +209,7 @@ def test_random_camera_deterministic_and_valid():
             assert np.all(np.isfinite(cam.params))
             if cls.focal_index is not None:
                 assert 0.5 * SPREAD <= cam.params[cls.focal_index] <= 2.0 * SPREAD
-            if cls.kind == "line":
+            if isinstance(cls, LineClass):
                 u = np.linalg.norm(
                     np.array([np.sin(cam.params[1]) * np.cos(cam.params[0]),
                               np.sin(cam.params[1]) * np.sin(cam.params[0]),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfmlab import io
+from sfmlab import io, sfm
 from sfmlab.cameras import catalog_lookup
 from sfmlab.cli import main
 from sfmlab.errors import FormatError, SfmlabError
@@ -216,6 +216,19 @@ def test_reconstruct_bad_json_and_infeasible(tmp_path, capsys):
     io.write_json(sp, io.scene_to_doc(scene))
     io.write_json(mp, io.measurements_to_doc(evaluate(scene)))
     assert main(["reconstruct", str(mp), str(sp), str(tmp_path / "o.json")]) == 2
+
+
+def test_reconstruct_refuses_an_oversized_jacobian(tmp_path, capsys, monkeypatch):
+    scene = random_scene(catalog_lookup("omni-2d"), 5, 3, seed=96)
+    sp, mp, out_p = tmp_path / "s.json", tmp_path / "m.json", tmp_path / "out.json"
+    io.write_json(sp, io.scene_to_doc(scene))
+    io.write_json(mp, io.measurements_to_doc(evaluate(scene)))
+    monkeypatch.setattr(sfm, "MAX_ENTRIES", 15 * 15 - 1)  # below LM's 15 x 15 Jacobian
+    assert main(["reconstruct", str(mp), str(sp), str(out_p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_p.exists()
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds" in err
 
 
 def test_module_invocation_smoke():

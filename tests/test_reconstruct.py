@@ -5,7 +5,7 @@ import pytest
 
 from sfmlab.cameras import catalog_lookup
 from sfmlab.errors import InfeasibleCountError
-from sfmlab import geometry, reconstruct
+from sfmlab import geometry, reconstruct, sfm
 from sfmlab.reconstruct import (
     GaugeChart,
     gauge_fix,
@@ -384,3 +384,19 @@ def test_order_zero_taylor_scene_matches_its_static_scene(name):
     assert rmse_js == rmse and g_js.scale == g.scale
     assert np.array_equal(g_js.rotation, g.rotation)
     assert np.array_equal(g_js.translation, g.translation)
+
+
+def test_solve_refuses_an_oversized_jacobian_before_measuring(monkeypatch):
+    """LM's (s*n*m) x free Jacobian is held to ``sfm.MAX_ENTRIES``, as
+    ``generic_rank``'s is, before the map is evaluated once."""
+    cls = catalog_lookup("omni-2d")
+    truth = random_scene(cls, 5, 3, seed=96)
+    meas = evaluate(truth)
+
+    def measure(self, vec):
+        raise AssertionError("the measurement map was evaluated")
+
+    monkeypatch.setattr(sfm._SceneLayout, "measure", measure)
+    monkeypatch.setattr(sfm, "MAX_ENTRIES", 15 * 15 - 1)  # 15 values, 19 - 4 free coordinates
+    with pytest.raises(ValueError, match=r"omni-2d \(5,3\): a 15 x 15 Jacobian exceeds 224 "):
+        solve(cls, meas, truth)

@@ -10,6 +10,8 @@ from sfmlab.cameras import (
     POLE_MARGIN,
     SPREAD,
     Camera,
+    OmniClass,
+    PerspectiveClass,
     catalog,
     catalog_lookup,
     project,
@@ -517,6 +519,13 @@ def test_generic_rank_refuses_a_huge_cell_before_drawing(monkeypatch):
         generic_rank(catalog_lookup("omni-2d"), 100_000_000, 3, trials=1)
 
 
+def test_jacobian_refuses_an_oversized_matrix(monkeypatch):
+    scene = random_scene(catalog_lookup("omni-2d"), 5, 3, seed=96)
+    monkeypatch.setattr(sfm, "MAX_ENTRIES", 15 * 19 - 1)  # 15 values, 19 coordinates
+    with pytest.raises(ValueError, match="a 15 x 19 Jacobian exceeds 284 entries"):
+        jacobian(scene)
+
+
 def test_kernel_check_passes_and_detects_bad_directions():
     cls = catalog_lookup("omni-oriented-2d")
     scene = random_scene(cls, 3, 3, seed=81)
@@ -640,7 +649,7 @@ def test_samplers_keep_their_margins(model, name):
         data = evaluate(scene).data
         assert np.ptp(data) > 0, "all measurements are equal"
         for X, p in zip(scene.shot_positions(), scene.params):
-            if cls.kind == "omni":
+            if isinstance(cls, OmniClass):
                 delta = X - p[: cls.d]
                 dist = np.sqrt(np.sum(delta * delta, axis=1))
                 assert dist.min() >= 0.25 * SPREAD
@@ -649,7 +658,7 @@ def test_samplers_keep_their_margins(model, name):
                         delta = delta @ geometry.rot3(p[cls.rotation_slice]).T
                     phi = np.arccos(delta[:, 2] / dist)
                     assert np.all((phi >= POLE_MARGIN) & (phi <= np.pi - POLE_MARGIN))
-            if cls.kind == "perspective":
+            if isinstance(cls, PerspectiveClass):
                 if cls.h:
                     focal = scene.globals_vec[0]
                 elif cls.focal_index is not None:
