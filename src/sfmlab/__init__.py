@@ -36,7 +36,6 @@ from .errors import (
     UnknownClassError,
 )
 from .reconstruct import (
-    GaugeChart,
     LocalUniquenessReport,
     SolveReport,
     gauge_fix,

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io
 from .cameras import catalog, catalog_lookup
 from .counting import forbidden_region
-from .errors import FormatError, SfmlabError
+from .errors import SfmlabError
 from .reconstruct import solve
 from .sfm import evaluate, generic_rank, predicted_rank, random_jet_scene, random_scene
 from .symmetry import align
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         # the reader has gone: end quietly, and let the exit flush write nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
-    except (FormatError, SfmlabError, OSError, ValueError) as exc:
+    except (SfmlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,13 +64,6 @@ def _is_int(v) -> bool:  # exact arithmetic needs integers; a truth value is not
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def checked_ints(what: str, *values) -> tuple[int, ...]:
-    """``values`` as Python ints; a non-integer raises ValueError."""
-    if not all(map(_is_int, values)):
-        raise ValueError(f"{what} must be integers, got {values}")
-    return tuple(int(v) for v in values)
-
-
 def checked_counts(*dims, **counts) -> tuple[int, ...]:
     """``dims`` (a prefix of ``point_dim, f, g, h, s``) as ints >= 0, then
     ``counts`` as ints >= 1, in the order given.

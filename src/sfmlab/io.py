@@ -135,7 +135,7 @@ def doc_to_scene(doc: dict) -> Scene | JetScene:
             motion = _numbers(_require(doc, "motion", "jet scene"), "jet scene motion")
             times = _numbers(_require(doc, "times", "jet scene"), "jet scene times")
             return JetScene(cls, model, motion, times, params, glob,
-                            _number(doc.get("omega", 0.0), "jet scene omega"))
+                            _number(_require(doc, "omega", "jet scene"), "jet scene omega"))
         points = _numbers(_require(doc, "points", "scene"), "scene points")
         return Scene(cls, points, params, glob)
     except ValueError as exc:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .cameras import GROUPS, CameraClass, checked_array
-from .counting import checked_ints, jet_feasible
+from .cameras import GROUPS, CameraClass
+from .counting import jet_feasible
 from .errors import DegenerateConfigurationError, InfeasibleCountError
 # evaluate, evaluate_jet and jet_generators stay bound here although unused:
 # perfbench/tracing.py::_layer_patches wraps this module's binding of each name.
@@ -32,30 +32,6 @@ from .sfm import (
     jacobian_rank,
 )
 from .symmetry import generators, jet_generators  # noqa: F401
-
-
-@dataclass(frozen=True)
-class GaugeChart:
-    """Pinned scene coordinates selecting one representative per orbit."""
-
-    indices: tuple[int, ...]  # coordinates held fixed
-    values: np.ndarray  # values they are held at
-    dim: int  # full coordinate count
-
-    def __post_init__(self):
-        vals = checked_array("pinned values", self.values, (len(self.indices),))
-        checked_ints("pinned indices and dim", self.dim, *self.indices)
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("pinned indices must be distinct")
-        if not all(0 <= i < self.dim for i in self.indices):
-            raise ValueError("pinned indices must lie in [0, dim)")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.dim, dtype=bool)
-        m[list(self.indices)] = True
-        return m
 
 
 def _greedy_pins(G: np.ndarray, forced: list[int], pools: list[list[int]], g: int) -> list[int]:
@@ -90,10 +66,9 @@ def _greedy_pins(G: np.ndarray, forced: list[int], pools: list[list[int]], g: in
     return chosen
 
 
-def gauge_fix(template: Scene | JetScene) -> GaugeChart:
-    """Pin ``g`` coordinates at their template values.
-
-    In order: point 0's first ``d`` coordinates (its position or motion
+def gauge_fix(template: Scene | JetScene) -> tuple[int, ...]:
+    """The ``g`` coordinate indices pinned at their template values, in the
+    order chosen: point 0's first ``d`` coordinates (its position or motion
     anchor), the first camera's orientation block for groups containing
     rotations, then rotation- and scale-setting coordinates until the pins
     span the orbit directions, preferring point 0's remaining motion
@@ -108,9 +83,7 @@ def gauge_fix(template: Scene | JetScene) -> GaugeChart:
         forced += cams[0, cls.rotation_slice].tolist()
     pools = [points[0, cls.d:].tolist(), points[1 % template.n, :cls.d].tolist(),
              list(range(template.dim))]
-    idx = _greedy_pins(G, forced, pools, cls.g)
-    vec = template.to_vector()
-    return GaugeChart(tuple(idx), vec[idx], template.dim)
+    return tuple(_greedy_pins(G, forced, pools, cls.g))
 
 
 # Kept because perfbench/tracing.py::_layer_patches binds this name.
@@ -131,7 +104,7 @@ class SolveReport:
     iterations: int
     converged: bool
     gradient_norm: float
-    gauge: GaugeChart
+    gauge: tuple[int, ...]  # pinned coordinate indices, held at the init scene's values
     cost_history: tuple[float, ...]  # accepted costs, never increasing
 
 
@@ -218,7 +191,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
     check_jacobian(cls, init.n, init.m, rep.rhs - cls.g, rep.lhs - cls.g)
     gauge = gauge_fix(init)
     wrap = init.output_angle_mask
-    free = np.flatnonzero(~gauge.mask)
+    free = np.delete(np.arange(init.dim), gauge)
     base = init.to_vector()  # already holds the pinned values
 
     def full(x_free):
@@ -257,17 +230,15 @@ class LocalUniquenessReport:
     rank_report: RankReport
 
 
-def local_uniqueness(scene: Scene | JetScene, gauge: GaugeChart) -> LocalUniquenessReport:
-    """Check that the gauge-fixed Jacobian has full column rank.
+def local_uniqueness(scene: Scene | JetScene) -> LocalUniquenessReport:
+    """Check that the Jacobian fixed in the scene's own gauge has full column rank.
 
     Full rank means the fiber through the scene is discrete on the gauge
     slice; a deficit signals a continuous deformation family the data cannot
     see."""
-    if gauge.dim != scene.dim:
-        raise ValueError("gauge does not match the scene")
-    free = ~gauge.mask
+    free = np.delete(np.arange(scene.dim), gauge_fix(scene))
     report = jacobian_rank(scene, free, None)
-    expected = int(np.count_nonzero(free))
+    expected = free.size
     return LocalUniquenessReport(report.rank == expected, report.rank, expected, report)
 
 

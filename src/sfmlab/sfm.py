@@ -600,7 +600,8 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     ``MAX_ENTRIES`` entries are refused before any scene is drawn.
     """
     n, m, trials = checked_counts(n=n, m=m, trials=trials)
-    check_jacobian(cls, n, m, cls.s * n * m, cls.d * n + cls.f * m + cls.h)
+    rep = feasible(cls, n, m)  # J: one row per measured value, one column per coordinate
+    check_jacobian(cls, n, m, rep.rhs - cls.g, rep.lhs)
     reports = [
         jacobian_rank(random_scene(cls, n, m, seed=(seed, t)), slice(None), rel_tol)
         for t in range(trials)

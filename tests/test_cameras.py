@@ -235,3 +235,19 @@ def test_rotation_matrix_of_a_stack_equals_its_rows_exactly():
         assert np.array_equal(geometry.rotation_matrix(d, coords.reshape(2, 4, -1)),
                               R.reshape(2, 4, d, d))
         assert np.allclose(R @ R.swapaxes(-1, -2), np.eye(d), atol=1e-12)
+
+
+def test_rot3_log_of_a_rotation_below_its_cutoff_is_its_quaternion_vector():
+    """Below 1e-12 rad the log returns twice the quaternion's vector part."""
+    assert geometry.rot3_log(np.eye(3)).tolist() == [0.0, 0.0, 0.0]
+    rho = 1e-13 * np.array([0.36, -0.48, 0.8])
+    assert np.max(np.abs(geometry.rot3_log(geometry.rot3(rho)) - rho)) <= 1e-20
+
+
+@pytest.mark.parametrize("z", [2.5, -0.7], ids=["+z", "-z"])
+def test_look_at_rotation_along_the_optical_axis(z):
+    """A direction along +-z has no cross product with e_z to turn about."""
+    R = geometry.look_at_rotation(np.array([0.0, 0.0, z]), 0.3)
+    assert np.allclose(R @ [0.0, 0.0, np.sign(z)], [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
+    assert abs(np.linalg.det(R) - 1.0) < 1e-12

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sfmlab.cameras import Camera, catalog_lookup
-from sfmlab.reconstruct import GaugeChart
 from sfmlab.sfm import JetScene, Measurements, Scene, evaluate, random_jet_scene, random_scene
 from sfmlab.symmetry import GroupElement, random_element
 
@@ -54,7 +53,6 @@ BUILDERS = {
     "Measurements": (lambda a: Measurements(SCENE.cls, a["data"]), {"data": evaluate(SCENE).data}),
     "GroupElement": (lambda a: GroupElement(1.0, a["rotation"], a["translation"]),
                      {"rotation": GAMMA.rotation, "translation": GAMMA.translation}),
-    "GaugeChart": (lambda a: GaugeChart((0, 2), a["values"], 5), {"values": [0.5, -1.0]}),
 }
 
 

@@ -165,6 +165,22 @@ def test_jet_scene_files_round_trip(tmp_path):
     assert t1.read_bytes() == t2.read_bytes()
 
 
+def test_jet_scene_document_must_state_omega(tmp_path, capsys):
+    """Without ``omega`` a circle document would decode as a stationary
+    model, and ``reconstruct`` would fit the wrong map."""
+    truth = random_jet_scene(catalog_lookup("omni-2d"), 7, 6, seed=1)
+    doc = io.scene_to_doc(truth)
+    del doc["omega"]
+    with pytest.raises(FormatError, match="'omega'"):
+        io.doc_to_scene(doc)
+    sp, mp, out_p = tmp_path / "s.json", tmp_path / "m.json", tmp_path / "out.json"
+    io.write_json(sp, doc)
+    io.write_json(mp, io.measurements_to_doc(evaluate(truth)))
+    assert main(["reconstruct", str(mp), str(sp), str(out_p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_p.exists() and "'omega'" in captured.err
+
+
 def test_reconstruct_round_trip_via_files(tmp_path, capsys):
     truth_p = tmp_path / "truth.json"
     meas_p = tmp_path / "meas.json"
