@@ -36,7 +36,6 @@ from .errors import (
     UnknownClassError,
 )
 from .reconstruct import (
-    LocalUniquenessReport,
     SolveReport,
     gauge_fix,
     local_uniqueness,

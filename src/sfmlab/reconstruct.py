@@ -187,8 +187,7 @@ def solve(cls: CameraClass, measurements: Measurements, init: Scene | JetScene) 
             f"{cls.name} with n={init.n}, m={init.m}: unknowns {rep.lhs} exceed "
             f"measurements plus symmetry {rep.rhs}"
         )
-    # LM's Jacobian: one row per measured value, one column per free coordinate
-    check_jacobian(cls, init.n, init.m, rep.rhs - cls.g, rep.lhs - cls.g)
+    check_jacobian(cls, init.n, init.m, rep.lhs - cls.g)  # LM's J: one column per free coordinate
     gauge = gauge_fix(init)
     wrap = init.output_angle_mask
     free = np.delete(np.arange(init.dim), gauge)
@@ -222,24 +221,13 @@ def reprojection_rmse(scene: Scene | JetScene, measurements: Measurements) -> fl
     return float(np.sqrt(np.mean(r * r)))
 
 
-@dataclass(frozen=True)
-class LocalUniquenessReport:
-    passed: bool
-    rank: int
-    expected_rank: int
-    rank_report: RankReport
+def local_uniqueness(scene: Scene | JetScene) -> RankReport:
+    """The rank of the Jacobian fixed in the scene's own gauge: its free columns.
 
-
-def local_uniqueness(scene: Scene | JetScene) -> LocalUniquenessReport:
-    """Check that the Jacobian fixed in the scene's own gauge has full column rank.
-
-    Full rank means the fiber through the scene is discrete on the gauge
-    slice; a deficit signals a continuous deformation family the data cannot
-    see."""
-    free = np.delete(np.arange(scene.dim), gauge_fix(scene))
-    report = jacobian_rank(scene, free, None)
-    expected = free.size
-    return LocalUniquenessReport(report.rank == expected, report.rank, expected, report)
+    ``full_column_rank`` means the fiber through the scene is discrete on the
+    gauge slice; a deficit signals a continuous deformation family the data
+    cannot see."""
+    return jacobian_rank(scene, np.delete(np.arange(scene.dim), gauge_fix(scene)), None)
 
 
 def perturb_scene(scene: Scene | JetScene, rel: float, seed) -> Scene | JetScene:

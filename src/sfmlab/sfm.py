@@ -319,9 +319,11 @@ def fd_jacobian(fn, x: np.ndarray, wrap: np.ndarray, groups) -> np.ndarray:
     return J
 
 
-def check_jacobian(cls: CameraClass, n: int, m: int, rows: int, cols: int) -> None:
-    """Refuse, with ValueError, a rows x cols Jacobian of more than
-    ``MAX_ENTRIES`` entries (read at call time) before it is allocated."""
+def check_jacobian(cls: CameraClass, n: int, m: int, cols: int) -> None:
+    """Refuse, with ValueError, a Jacobian of one row per measured value
+    (``s*n*m``) and ``cols`` columns that has more than ``MAX_ENTRIES``
+    entries (read at call time), before it is allocated."""
+    rows = cls.s * n * m
     if rows * cols > MAX_ENTRIES:
         raise ValueError(f"{cls.name} ({n},{m}): a {rows} x {cols} Jacobian exceeds "
                          f"{MAX_ENTRIES} entries")
@@ -336,7 +338,7 @@ def jacobian(scene: Scene | JetScene) -> np.ndarray:
     The result equals the one-column-per-coordinate loop bit for bit.
     """
     n, m, dim = scene.n, scene.m, scene.dim
-    check_jacobian(scene.cls, n, m, n * m * scene.cls.s, dim)
+    check_jacobian(scene.cls, n, m, dim)
     points, cams, shared = scene.columns()
     owners = np.concatenate([np.broadcast_to(points[:, None], (n, m, scene.point_dim)),
                              np.broadcast_to(cams, (n, m, scene.cls.f)),
@@ -356,6 +358,11 @@ class RankReport:
     threshold: float
     rank: int
     gap: float  # ratio of the last kept to the first dropped singular value
+
+    @property
+    def full_column_rank(self) -> bool:
+        """No column direction is lost: the rank equals the column count."""
+        return self.rank == self.shape[1]
 
 
 def _default_rel_tol(shape: tuple[int, int]) -> float:
@@ -520,9 +527,6 @@ def predicted_rank(cls: CameraClass, n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class GenericRankReport:
-    class_name: str
-    n: int
-    m: int
     trial_ranks: tuple[int, ...]
     rank: int  # max over trials
     best: RankReport  # report of the best trial (max rank, then widest gap)
@@ -600,12 +604,11 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     ``MAX_ENTRIES`` entries are refused before any scene is drawn.
     """
     n, m, trials = checked_counts(n=n, m=m, trials=trials)
-    rep = feasible(cls, n, m)  # J: one row per measured value, one column per coordinate
-    check_jacobian(cls, n, m, rep.rhs - cls.g, rep.lhs)
+    check_jacobian(cls, n, m, feasible(cls, n, m).lhs)  # J: one column per coordinate
     reports = [
         jacobian_rank(random_scene(cls, n, m, seed=(seed, t)), slice(None), rel_tol)
         for t in range(trials)
     ]
     ranks = tuple(r.rank for r in reports)
     best = max(reports, key=lambda r: (r.rank, r.gap))
-    return GenericRankReport(cls.name, n, m, ranks, max(ranks), best)
+    return GenericRankReport(ranks, max(ranks), best)

@@ -188,7 +188,6 @@ class KernelCheckReport:
     """Relative residuals of the symmetry directions under the Jacobian."""
 
     ratios: np.ndarray  # one per generator column
-    tol: float
     passed: bool
 
     @property
@@ -208,4 +207,4 @@ def kernel_check(scene: Scene | JetScene) -> KernelCheckReport:
     G = generators(scene)
     jnorm = float(np.linalg.norm(M, 2))
     ratios = np.linalg.norm(M @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))
-    return KernelCheckReport(ratios, KERNEL_TOL, bool(np.all(ratios <= KERNEL_TOL)))
+    return KernelCheckReport(ratios, bool(np.all(ratios <= KERNEL_TOL)))

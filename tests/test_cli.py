@@ -90,6 +90,15 @@ def test_rank_exit_codes(capsys):
     assert capsys.readouterr().err.startswith("error: unknown camera class 'no-such-camera'; ")
 
 
+def test_argparse_exits_become_return_values(capsys):
+    """In process, ``main`` returns argparse's exits: 0 for --help and 2
+    for a missing argument."""
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+    assert main(["rank", "omni-3d"]) == 2
+    assert "the following arguments are required: n, m" in capsys.readouterr().err
+
+
 def test_rank_refuses_a_huge_cell(capsys):
     assert main(["rank", "omni-2d", "100000000", "3", "--trials", "1"]) == 2
     assert "exceeds" in capsys.readouterr().err

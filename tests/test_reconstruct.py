@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfmlab.cameras import catalog_lookup
-from sfmlab.errors import InfeasibleCountError
+from sfmlab.errors import DegenerateConfigurationError, InfeasibleCountError
 from sfmlab import geometry, reconstruct, sfm
 from sfmlab.reconstruct import (
     gauge_fix,
@@ -26,7 +26,7 @@ from sfmlab.sfm import (
     random_jet_scene,
     random_scene,
 )
-from sfmlab.symmetry import act_scene, align, random_element
+from sfmlab.symmetry import act_scene, align, generators, random_element
 
 from conftest import ALL_CLASS_NAMES
 
@@ -97,6 +97,22 @@ def test_gauge_skips_a_point_that_repeats_the_anchor():
     assert gauge[2] not in scene.columns()[0][1]
 
 
+@pytest.mark.parametrize("craft,message", [
+    (lambda G: G[[0, 0, *range(2, len(G))]], "a forced gauge pin does not cut the orbit"),
+    (lambda G: G[:, [0, 1, 0]], "gauge pins incomplete"),
+], ids=["forced pin", "incomplete"])
+def test_gauge_refuses_orbit_directions_it_cannot_pin(craft, message, monkeypatch):
+    """omni-oriented-2d forces point 0's two coordinates as pins. With the
+    second one's generator row made a copy of the first's, it cuts nothing;
+    with the scaling column made a copy of the x translation, no g pins span
+    the orbit directions."""
+    scene = random_scene(catalog_lookup("omni-oriented-2d"), 3, 3, seed=7)
+    G = generators(scene)
+    monkeypatch.setattr(reconstruct, "generators", lambda s: craft(G))
+    with pytest.raises(DegenerateConfigurationError, match=message):
+        gauge_fix(scene)
+
+
 def test_gauge_fixed_jacobian_has_full_column_rank():
     for name, n, m in [("affine-ortho-3d", 3, 3), ("omni-oriented-2d", 3, 3),
                        ("omni-2d", 5, 3)]:
@@ -104,7 +120,7 @@ def test_gauge_fixed_jacobian_has_full_column_rank():
         for k in range(3):
             scene = random_scene(cls, n, m, seed=(15, k))
             rep = local_uniqueness(scene)
-            assert rep.passed and rep.rank == scene.dim - cls.g
+            assert rep.full_column_rank and rep.rank == scene.dim - cls.g
 
 
 def test_reprojection_rmse_examples():
@@ -295,17 +311,17 @@ def test_noise_scales_roughly_linearly():
 def test_local_uniqueness_flags_deficient_cases():
     cls = catalog_lookup("affine-ortho-3d")
     good = random_scene(cls, 3, 3, seed=110)
-    assert local_uniqueness(good).passed
+    assert local_uniqueness(good).full_column_rank
 
     wide = random_scene(cls, 6, 2, seed=111)
-    assert not local_uniqueness(wide).passed
+    assert not local_uniqueness(wide).full_column_rank
 
     rng = np.random.default_rng(112)
     pts = np.column_stack([rng.uniform(-2, 2, size=(3, 2)), np.zeros(3)])
     params = [np.concatenate([[0.0, 0.0, rng.uniform(-np.pi, np.pi)],
                               rng.uniform(-2, 2, size=2)]) for _ in range(3)]
     coplanar = Scene(cls, pts, params, np.zeros(0))
-    assert not local_uniqueness(coplanar).passed
+    assert not local_uniqueness(coplanar).full_column_rank
 
 
 def test_jet_gauge_and_solver_runs():
@@ -358,6 +374,30 @@ def test_lm_gives_up_when_the_damping_runs_out():
     assert iterations == 1 and not converged
     assert x.tolist() == [0.0] and history == (1.0,)
     assert grad_norm > 0.5
+
+
+def test_lm_raises_the_damping_when_the_damped_system_is_singular(monkeypatch):
+    """A LinAlgError from the damped normal equations is not a stop: LM
+    quadruples the damping and solves again, and the solve still converges
+    with a cost history that never increases."""
+    cls = catalog_lookup("omni-oriented-2d")
+    truth = random_scene(cls, 3, 3, seed=(100, 0))
+    init = perturb_scene(truth, 0.10, seed=(200, 0))
+    systems = []
+    real_solve = np.linalg.solve
+
+    def singular_once(a, b):
+        systems.append(a.copy())
+        if len(systems) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    report = solve(cls, evaluate(truth), init)
+    assert report.converged and report.rmse < 1e-8
+    assert np.all(np.diff(report.cost_history) <= 0)
+    first, retry = systems[:2]
+    assert np.allclose(retry - first, 3e-3 * np.eye(len(first)), rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ["omni-2d", "omni-oriented-2d", "omni-3d", "perspective-3d",

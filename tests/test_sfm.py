@@ -17,7 +17,7 @@ from sfmlab.cameras import (
     project,
     project_points,
 )
-from sfmlab.errors import SingularConfigurationError
+from sfmlab.errors import DegenerateConfigurationError, SingularConfigurationError
 from sfmlab.sfm import (
     JetScene,
     Scene,
@@ -636,6 +636,18 @@ def test_scenes_reject_non_finite_input(field, bad):
 
 SAMPLED_SCENES = ([("static", c.name) for c in catalog()]
                   + [("circle", c.name) for c in catalog() if c.d == 2])
+
+
+@pytest.mark.parametrize("sampler", [random_scene, random_jet_scene], ids=["static", "circle"])
+def test_samplers_give_up_after_max_draws(sampler, monkeypatch):
+    """A class whose margins refuse every draw ends the sampler after
+    ``MAX_DRAWS`` tries with DegenerateConfigurationError."""
+    cls = catalog_lookup("omni-2d")
+    tries = []
+    monkeypatch.setattr(type(cls), "margins_ok", lambda self, P, glob, X: tries.append(1) or False)
+    with pytest.raises(DegenerateConfigurationError, match=f"in {sfm.MAX_DRAWS} draws"):
+        sampler(cls, 3, 3, seed=0)
+    assert len(tries) == sfm.MAX_DRAWS
 
 
 @pytest.mark.parametrize("model,name", SAMPLED_SCENES)

@@ -1,8 +1,11 @@
 """Group actions, the defining invariance, orbit generators, and alignment."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from sfmlab import symmetry
 from sfmlab.cameras import Camera, catalog_lookup, project, random_camera
 from sfmlab.errors import DegenerateConfigurationError, GroupMismatchError
 from sfmlab.geometry import rot2, wrap_angle
@@ -206,8 +209,31 @@ def test_taylor_jet_action_and_alignment_round_trip():
 
 def test_align_rejects_degenerate_points():
     cls = catalog_lookup("affine-ortho-3d")
-    pts = np.zeros((3, 3))  # all coincident: rotation not identifiable
     params = [random_camera(cls, k).params for k in range(2)]
-    scene = Scene(cls, pts, params, np.zeros(0))
-    with pytest.raises(DegenerateConfigurationError):
-        align(scene, scene)
+    for pts, message in [
+        (np.zeros((3, 3)), "positions are coincident"),
+        (np.outer([-1.0, 0.5, 2.0], [1.0, 2.0, -0.5]), "rotation not identifiable"),  # one line
+    ]:
+        scene = Scene(cls, pts, params, np.zeros(0))
+        with pytest.raises(DegenerateConfigurationError, match=message):
+            align(scene, scene)
+
+
+def test_align_refuses_a_point_reflection_of_a_dilation_scene():
+    """omni-oriented-2d's group holds no rotation, so the point reflection
+    p -> -p is fitted only by a negative scale, which no element has."""
+    cls = catalog_lookup("omni-oriented-2d")
+    a = random_scene(cls, 3, 3, seed=4)
+    reflected = Scene(cls, -a.points, -a.params, a.globals_vec)
+    with pytest.raises(DegenerateConfigurationError, match="non-positive scale"):
+        align(a, reflected)
+
+
+def test_generators_refuse_a_non_finite_orbit(monkeypatch):
+    """An action that leaves the finite scenes, as at a singular chart point,
+    gives no orbit directions: generators raise instead of returning nan."""
+    scene = random_scene(catalog_lookup("omni-2d"), 3, 3, seed=5)
+    nowhere = SimpleNamespace(to_vector=lambda: np.full(scene.dim, np.nan))
+    monkeypatch.setattr(symmetry, "act_scene", lambda gamma, s: nowhere)
+    with pytest.raises(DegenerateConfigurationError, match="undefined at a singular scene"):
+        generators(scene)
