@@ -385,9 +385,15 @@ def numerical_rank(mat: np.ndarray, rel_tol: float | None = None) -> RankReport:
         raise ValueError("matrix must be finite")
     if rel_tol is None:
         rel_tol = _default_rel_tol(mat.shape)
+    return _spectrum_rank(mat.shape, np.linalg.svd(mat, compute_uv=False), rel_tol)
+
+
+def _spectrum_rank(shape: tuple[int, int], sigma: np.ndarray, rel_tol: float) -> RankReport:
+    """The rank rule, on a spectrum sorted in descending order: the rank is
+    the count of singular values above ``rel_tol * sigma[0]``, and the gap
+    is the ratio of the last kept to the first dropped one."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    sigma = np.linalg.svd(mat, compute_uv=False)
     top = float(sigma[0])
     threshold = rel_tol * top
     rank = int(np.count_nonzero(sigma > threshold)) if top > 0.0 else 0
@@ -395,41 +401,50 @@ def numerical_rank(mat: np.ndarray, rel_tol: float | None = None) -> RankReport:
         gap = float(sigma[rank - 1] / sigma[rank])
     else:
         gap = float("inf")
-    return RankReport(mat.shape, sigma, float(rel_tol), float(threshold), rank, gap)
+    return RankReport(shape, sigma, float(rel_tol), float(threshold), rank, gap)
 
 
 def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
     """A factor M of the measurement Jacobian: J = Q M up to zero rows, where
     Q has orthonormal columns, so M has J's singular values.
 
+    M = [D T; 0 S] in the point columns, then the camera and shared columns:
+    D is block diagonal in the R_i[:k], T is ``top`` and S the reduced
+    leftover rows, all three from ``_eliminate_points``. It assumes nothing
+    about the rank of any block, and M has min(n*m*s, dim) rows.
+    """
+    return _assemble_factor(scene, *_eliminate_points(scene))
+
+
+def _eliminate_points(scene: Scene | JetScene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The point elimination of J: ``R`` of shape (n, k, pd), ``top`` of shape
+    (n, k, c) and the reduced leftover rows ``S`` of shape (at most c, c),
+    where k = min(m*s, point_dim) and c = m*f + h.
+
     Point i's coefficients move only the m*s rows of point i, so those rows
     of J are one block [A_i | B_i]: A_i in point i's columns, B_i in the
     camera and shared columns, where camera j's parameters move only camera
     j's rows. Both are read from ``owner_jacobian``; J itself is never
-    built. One batched QR gives A_i = Q_i R_i with Q_i square. The first
-    k = min(m*s, point_dim) rows of Q_i^T [A_i | B_i] go into M as they are;
-    the rest are zero in the point columns, so they are stacked and reduced
-    by one more QR. This is the orthogonal form of the point elimination of
-    bundle adjustment (Triggs et al., 2000, section 6). It assumes nothing
-    about the rank of any block, and M has min(n*m*s, dim) rows.
+    built. One batched QR gives A_i = Q_i R_i with Q_i square. The first k
+    rows of Q_i^T [A_i | B_i] are R_i[:k] and ``top``; the rest are zero in
+    the point columns, so they are stacked and reduced by one more QR to S.
+    This is the orthogonal form of the point elimination of bundle
+    adjustment (Triggs et al., 2000, section 6).
 
     The leftover rows are reduced chunk by chunk, as in sequential TSQR
     (Demmel, Grigori, Hoemmen & Langou, 2012). Each chunk of points, as many
     as fit in ``CHUNK_ROWS`` leftover rows (at least one), has
     ``_rotated_blocks`` write its leftover rows into one work array, just
     below the R reduced so far, and ``_reduce_rows`` reduces that prefix in
-    place. So the work array holds at most c = m*f + h rows more than one
-    chunk's, however many points there are, and when all leftover rows fit
-    in one chunk it is exactly their stack. The owner derivatives die with
-    the last chunk, and the final R, at most c rows, is copied out of the
-    work array, which is freed before M is allocated.
+    place. So the work array holds at most c rows more than one chunk's,
+    however many points there are, and when all leftover rows fit in one
+    chunk it is exactly their stack. The owner derivatives die with the last
+    chunk, and S is copied out of the work array, which is freed on return.
     """
-    n, m, dim, pd = scene.n, scene.m, scene.dim, scene.point_dim
-    points, cams, shared = scene.columns()
-    others = np.concatenate([cams.ravel(), shared])  # B_i's columns, in the order of Q_i^T B_i
+    n, m, pd = scene.n, scene.m, scene.point_dim
     k = min(m * scene.cls.s, pd)
     left = m * scene.cls.s - k  # leftover rows per point
-    c = others.size
+    c = scene.cls.f * m + scene.cls.h
     per = max(1, CHUNK_ROWS // max(left, 1))  # points per chunk
     owners = scene.owner_jacobian()
     chunks = [owners[i0:i0 + per] for i0 in range(0, n, per)]
@@ -443,13 +458,21 @@ def jacobian_factor(scene: Scene | JetScene) -> np.ndarray:
         _rotated_blocks(chunks.pop(0), scene.cls.f, R[i0:i0 + per], top[i0:i0 + per],
                         work[done:rows])
         done = _reduce_rows(work[:rows]).shape[0]
-    rest = work[:done].copy()
-    del work
-    M = np.zeros((n * k + done, dim))
-    head = M[:n * k].reshape(n, k, dim)
+    return R, top, work[:done].copy()
+
+
+def _assemble_factor(scene: Scene | JetScene, R: np.ndarray, top: np.ndarray,
+                     S: np.ndarray) -> np.ndarray:
+    """M = [D T; 0 S] from the parts ``_eliminate_points`` returns, its
+    columns in the order of the scene's coordinate vector."""
+    n, k, _ = R.shape
+    points, cams, shared = scene.columns()
+    others = np.concatenate([cams.ravel(), shared])  # B_i's columns, in the order of Q_i^T B_i
+    M = np.zeros((n * k + len(S), scene.dim))
+    head = M[:n * k].reshape(n, k, -1)
     head[np.arange(n)[:, None, None], np.arange(k)[:, None], points[:, None, :]] = R
     head[:, :, others] = top
-    M[n * k:, others] = rest
+    M[n * k:, others] = S
     return M
 
 
@@ -517,6 +540,32 @@ def jacobian_rank(scene: Scene | JetScene, columns, rel_tol: float | None) -> Ra
     shape = (scene.cls.s * scene.n * scene.m, M.shape[1])
     report = numerical_rank(M, _default_rel_tol(shape) if rel_tol is None else rel_tol)
     return replace(report, shape=shape)
+
+
+def reduced_rank(scene: Scene | JetScene, rel_tol: float | None) -> RankReport:
+    """The rank of the measurement Jacobian J from its point elimination,
+    with no SVD of the dim x dim factor M.
+
+    M = [D T; 0 S] with D block diagonal in the R_i[:k]. When every R_i[:k]
+    has full row rank k, a column operation clears T, so rank J = n*k +
+    rank S (Triggs et al., 2000, section 6). The reported spectrum is that
+    of the point-eliminated J: the singular values of every R_i[:k] merged
+    with those of S, in descending order, as many as M's. Its top is at most
+    sigma_max(J), since both are blocks of M. The rank rule of
+    ``numerical_rank`` applies to it, with J's shape and tolerance. If some
+    R_i[:k] has a singular value at or below the threshold, the closed form
+    does not hold, and the report is ``numerical_rank`` of M, assembled from
+    the same parts: ``jacobian_rank``'s report.
+    """
+    shape = (scene.cls.s * scene.n * scene.m, scene.dim)
+    rel_tol = _default_rel_tol(shape) if rel_tol is None else rel_tol
+    R, top, S = _eliminate_points(scene)
+    blocks = np.linalg.svd(R, compute_uv=False)
+    sigma = np.sort(np.concatenate([blocks.ravel(), np.linalg.svd(S, compute_uv=False)]))[::-1]
+    report = _spectrum_rank(shape, sigma, rel_tol)
+    if blocks.min() > report.threshold:
+        return report
+    return replace(numerical_rank(_assemble_factor(scene, R, top, S), rel_tol), shape=shape)
 
 
 def predicted_rank(cls: CameraClass, n: int, m: int) -> int:
@@ -599,14 +648,15 @@ def generic_rank(cls: CameraClass, n: int, m: int, trials: int = 5, seed: int = 
     """Max numerical rank of the measurement Jacobian over random scenes.
 
     The rank can only drop on thin subsets of configuration space, so the max
-    over independent draws estimates the generic value. Each trial's
-    spectrum comes from ``jacobian_rank``. Cells whose Jacobian has more than
-    ``MAX_ENTRIES`` entries are refused before any scene is drawn.
+    over independent draws estimates the generic value. Each trial's report
+    is ``reduced_rank`` of its scene: the spectrum of the point-eliminated
+    Jacobian. Cells whose Jacobian has more than ``MAX_ENTRIES`` entries are
+    refused before any scene is drawn.
     """
     n, m, trials = checked_counts(n=n, m=m, trials=trials)
     check_jacobian(cls, n, m, feasible(cls, n, m).lhs)  # J: one column per coordinate
     reports = [
-        jacobian_rank(random_scene(cls, n, m, seed=(seed, t)), slice(None), rel_tol)
+        reduced_rank(random_scene(cls, n, m, seed=(seed, t)), rel_tol)
         for t in range(trials)
     ]
     ranks = tuple(r.rank for r in reports)

@@ -188,7 +188,11 @@ class KernelCheckReport:
     """Relative residuals of the symmetry directions under the Jacobian."""
 
     ratios: np.ndarray  # one per generator column
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Every direction is annihilated: each ratio is within KERNEL_TOL."""
+        return bool(np.all(self.ratios <= KERNEL_TOL))
 
     @property
     def worst(self) -> float:
@@ -207,4 +211,4 @@ def kernel_check(scene: Scene | JetScene) -> KernelCheckReport:
     G = generators(scene)
     jnorm = float(np.linalg.norm(M, 2))
     ratios = np.linalg.norm(M @ G, axis=0) / (jnorm * np.linalg.norm(G, axis=0))
-    return KernelCheckReport(ratios, bool(np.all(ratios <= KERNEL_TOL)))
+    return KernelCheckReport(ratios)

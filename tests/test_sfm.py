@@ -466,6 +466,90 @@ def test_chunked_factor_peaks_below_the_stacked_leftover_rows():
     assert peak < leftover_bytes
 
 
+def _assert_rank_rule(rep, scene, rel_tol):
+    """The report is the rank rule applied to its own spectrum, with J's
+    shape and tolerance: the threshold is rel_tol * sigma[0], the rank counts
+    the values above it and the gap is the ratio at the cut."""
+    sigma = rep.singular_values
+    assert rep.shape == (scene.cls.s * scene.n * scene.m, scene.dim)
+    assert rep.rel_tol == rel_tol and rep.threshold == rel_tol * sigma[0]
+    assert np.all(np.diff(sigma) <= 0.0)
+    assert rep.rank == np.count_nonzero(sigma > rep.threshold)
+    if 0 < rep.rank < sigma.size:
+        assert rep.gap == sigma[rep.rank - 1] / sigma[rep.rank]
+
+
+def _assert_reduced_rank_is_the_factor_rank(scene):
+    reduced = sfm.reduced_rank(scene, None)
+    dense = sfm.jacobian_rank(scene, slice(None), None)
+    assert reduced.rank == dense.rank
+    assert reduced.singular_values.shape == dense.singular_values.shape
+    _assert_rank_rule(reduced, scene, dense.rel_tol)
+
+
+@pytest.mark.parametrize("chunking", ["none", "one point", "partial last chunk"])
+@pytest.mark.parametrize("kind,n,m", FACTOR_SCENES)
+def test_reduced_rank_equals_the_rank_of_the_factor(kind, n, m, chunking, monkeypatch):
+    """The rank of the point-eliminated J is the rank of M, with the leftover
+    rows reduced at once and chunk by chunk (budgets as in the chunked
+    factor test, and the chunks of both calls counted)."""
+    scene = _grouped_scene(kind, n, m, 92)
+    if chunking != "none":
+        left = max(m * scene.cls.s - min(m * scene.cls.s, scene.point_dim), 1)
+        per = 1 if chunking == "one point" else n // 2 + 1
+        monkeypatch.setattr(sfm, "CHUNK_ROWS", (per + 1) * left - 1)
+        chunks = []
+        rotated = sfm._rotated_blocks
+        monkeypatch.setattr(sfm, "_rotated_blocks",
+                            lambda owners, *out: chunks.append(len(owners)) or rotated(owners, *out))
+    _assert_reduced_rank_is_the_factor_rank(scene)
+    if chunking != "none":
+        assert chunks == 2 * ([per] * (n // per) + [n % per] * (n % per > 0))
+
+
+@pytest.mark.parametrize("name", [c.name for c in catalog()])
+def test_reduced_rank_equals_the_rank_of_the_factor_on_small_cells(name):
+    cls = catalog_lookup(name)
+    for n in range(1, 7):
+        for m in range(1, 7):
+            _assert_reduced_rank_is_the_factor_rank(random_scene(cls, n, m, seed=(96, n, m)))
+
+
+def test_reduced_rank_keeps_a_given_tolerance():
+    scene = random_scene(catalog_lookup("perspective-3d"), 7, 2, seed=97)
+    for rel_tol in (1e-10, 1e-4):
+        rep = sfm.reduced_rank(scene, rel_tol)
+        _assert_rank_rule(rep, scene, rel_tol)
+        assert rep.rank == sfm.jacobian_rank(scene, slice(None), rel_tol).rank
+    for bad in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            sfm.reduced_rank(scene, bad)
+
+
+def test_reduced_rank_falls_back_to_the_factor_on_a_deficient_point_block():
+    """On the coplanar scene no R_i[:k] has full row rank, so the closed form
+    does not hold, and the report is ``jacobian_rank``'s."""
+    scene = _coplanar_ortho_scene()
+    _assert_same_report(sfm.reduced_rank(scene, None),
+                        sfm.jacobian_rank(scene, slice(None), None))
+
+
+def test_generic_rank_takes_no_svd_wider_than_the_camera_block(monkeypatch):
+    """The rank path never takes the SVD of M, which is dim = 12*3 + 9*6 + 1
+    columns wide here: no SVD it takes has more than c = m*f + h columns."""
+    cls = catalog_lookup("perspective-3d")
+    n, m = 12, 9
+    expected = sfm.jacobian_rank(random_scene(cls, n, m, seed=(0, 0)), slice(None), None).rank
+    svd = np.linalg.svd
+
+    def narrow_svd(a, *args, **kwargs):
+        assert np.shape(a)[-1] <= m * cls.f + cls.h, f"an SVD of shape {np.shape(a)}"
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", narrow_svd)
+    assert generic_rank(cls, n, m, trials=1).rank == expected
+
+
 def _reduce_rows_inputs():
     rng = np.random.default_rng(95)
     deficient = rng.normal(size=(500, 40))

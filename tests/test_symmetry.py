@@ -237,3 +237,9 @@ def test_generators_refuse_a_non_finite_orbit(monkeypatch):
     monkeypatch.setattr(symmetry, "act_scene", lambda gamma, s: nowhere)
     with pytest.raises(DegenerateConfigurationError, match="undefined at a singular scene"):
         generators(scene)
+
+
+def test_kernel_check_report_passes_only_within_the_tolerance():
+    tol = symmetry.KERNEL_TOL
+    assert symmetry.KernelCheckReport(np.array([0.0, tol])).passed
+    assert not symmetry.KernelCheckReport(np.array([0.0, 2.0 * tol])).passed
